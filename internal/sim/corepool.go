@@ -15,13 +15,21 @@ type CorePool struct {
 	// head advances an index instead of reslicing, so a long-lived pool
 	// keeps one steady-state allocation no matter how many dispatches
 	// pass through it (the naive queue[1:] reslice marches the backing
-	// array forward and reallocates on every wave).
-	queue  []func()
+	// array forward and reallocates on every wave). An entry is a
+	// callback plus its argument, so callers bind the callback once and
+	// queue per-item work without a closure per item.
+	queue  []waiter
 	head   int
 	queued int
 
 	busyCoreSeconds float64
 	lastChange      time.Duration
+}
+
+// waiter is one queued acquirer: fn(arg) runs once it holds a core.
+type waiter struct {
+	fn  func(int)
+	arg int
 }
 
 // NewCorePool creates a pool with the given number of cores.
@@ -42,30 +50,30 @@ func (p *CorePool) InUse() int { return p.inUse }
 func (p *CorePool) Queued() int { return p.queued }
 
 // push appends a waiter to the ring, growing it when full.
-func (p *CorePool) push(run func()) {
+func (p *CorePool) push(w waiter) {
 	if p.queued == len(p.queue) {
 		n := 2 * len(p.queue)
 		if n < 8 {
 			n = 8
 		}
-		grown := make([]func(), n)
+		grown := make([]waiter, n)
 		for i := 0; i < p.queued; i++ {
 			grown[i] = p.queue[(p.head+i)%len(p.queue)]
 		}
 		p.queue, p.head = grown, 0
 	}
-	p.queue[(p.head+p.queued)%len(p.queue)] = run
+	p.queue[(p.head+p.queued)%len(p.queue)] = w
 	p.queued++
 }
 
 // pop removes and returns the head waiter; the caller guarantees the
 // ring is non-empty.
-func (p *CorePool) pop() func() {
-	run := p.queue[p.head]
-	p.queue[p.head] = nil
+func (p *CorePool) pop() waiter {
+	w := p.queue[p.head]
+	p.queue[p.head] = waiter{}
 	p.head = (p.head + 1) % len(p.queue)
 	p.queued--
-	return run
+	return w
 }
 
 // BusyCoreSeconds returns the integral of in-use cores over time, i.e.
@@ -81,19 +89,21 @@ func (p *CorePool) account() {
 	p.lastChange = now
 }
 
-// Acquire requests a core. When one is available, run is invoked (always
-// asynchronously, from an engine event) . The acquirer must call Release
-// exactly once when finished.
-func (p *CorePool) Acquire(run func()) {
+// Acquire requests a core. When one is available, fn(arg) is invoked
+// (always asynchronously, from an engine event). The acquirer must call
+// Release exactly once when finished. A caller queueing many items binds
+// fn once and identifies each item by arg, so queueing allocates
+// nothing per item.
+func (p *CorePool) Acquire(fn func(int), arg int) {
 	if p.inUse < p.capacity {
 		p.account()
 		p.inUse++
 		// Run asynchronously for deterministic FIFO ordering with queued
 		// acquirers.
-		p.eng.After(0, run)
+		p.eng.AfterArg(0, fn, arg)
 		return
 	}
-	p.push(run)
+	p.push(waiter{fn, arg})
 }
 
 // Release returns a core to the pool, handing it to the head of the wait
@@ -103,7 +113,8 @@ func (p *CorePool) Release() {
 		panic("sim: Release without Acquire")
 	}
 	if p.queued > 0 {
-		p.eng.After(0, p.pop())
+		w := p.pop()
+		p.eng.AfterArg(0, w.fn, w.arg)
 		return // core ownership transfers; inUse unchanged
 	}
 	p.account()
@@ -121,6 +132,7 @@ func (p *CorePool) SetCapacity(capacity int) {
 	for p.inUse < p.capacity && p.queued > 0 {
 		p.account()
 		p.inUse++
-		p.eng.After(0, p.pop())
+		w := p.pop()
+		p.eng.AfterArg(0, w.fn, w.arg)
 	}
 }

@@ -10,12 +10,12 @@ func TestCorePoolSerialisesBeyondCapacity(t *testing.T) {
 	p := NewCorePool(e, 2)
 	var finish []time.Duration
 	for i := 0; i < 4; i++ {
-		p.Acquire(func() {
+		p.Acquire(func(int) {
 			e.After(time.Second, func() {
 				finish = append(finish, e.Now())
 				p.Release()
 			})
-		})
+		}, 0)
 	}
 	e.Run()
 	if len(finish) != 4 {
@@ -34,12 +34,12 @@ func TestCorePoolFIFO(t *testing.T) {
 	e := NewEngine()
 	p := NewCorePool(e, 1)
 	var order []int
+	run := func(i int) {
+		order = append(order, i)
+		e.After(time.Millisecond, p.Release)
+	}
 	for i := 0; i < 5; i++ {
-		i := i
-		p.Acquire(func() {
-			order = append(order, i)
-			e.After(time.Millisecond, p.Release)
-		})
+		p.Acquire(run, i)
 	}
 	e.Run()
 	for i := range order {
@@ -53,9 +53,9 @@ func TestCorePoolBusyAccounting(t *testing.T) {
 	e := NewEngine()
 	p := NewCorePool(e, 4)
 	for i := 0; i < 2; i++ {
-		p.Acquire(func() {
+		p.Acquire(func(int) {
 			e.After(3*time.Second, p.Release)
-		})
+		}, 0)
 	}
 	e.Run()
 	if got := p.BusyCoreSeconds(); got < 5.9 || got > 6.1 {
@@ -82,10 +82,10 @@ func TestCorePoolGrow(t *testing.T) {
 	p := NewCorePool(e, 1)
 	started := 0
 	for i := 0; i < 3; i++ {
-		p.Acquire(func() {
+		p.Acquire(func(int) {
 			started++
 			// Hold forever; we only check admission.
-		})
+		}, 0)
 	}
 	e.Run()
 	if started != 1 {

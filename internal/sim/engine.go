@@ -7,76 +7,66 @@
 // FlowResource for bandwidth water-filling) are built on top, and the
 // Spark cluster simulator in internal/spark composes those.
 //
-// The event loop is allocation-free in steady state: fired and cancelled
-// events return to a free-list and are recycled by later At/After calls,
-// so a simulation's event-struct footprint is its peak concurrency, not
-// its event count. Timers carry a generation number so a stale Timer for
-// a recycled event is a safe no-op.
+// The event loop is allocation-free in steady state. Events live in an
+// index arena: fired and cancelled events return to a free-list and are
+// recycled by later schedules, so a simulation's event footprint is its
+// peak concurrency, not its event count. The heap itself is a typed
+// 4-ary heap of pointer-free slots that carry their sort key inline, so
+// sifting never calls through an interface, never dereferences an event
+// to compare, and never triggers a GC write barrier. Timers carry a
+// generation number so a stale Timer for a recycled event is a safe
+// no-op.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
-// event is a scheduled callback.
+// event is a scheduled callback. Exactly one of fn and fnArg is set;
+// fnArg(arg) is the closure-free form used for per-item callbacks (see
+// AfterArg and CorePool.Acquire).
 type event struct {
-	at time.Duration
-	// phase orders events within one instant: normal events (phase 0)
-	// run before late ones (phase 1, scheduled via AtLate). Late events
-	// are end-of-instant finalizers — they observe every normal event's
-	// effects at their timestamp, which is what makes the Spark
-	// runner's stage-completion bookkeeping independent of event
-	// arrival order (see internal/spark).
-	phase uint8
-	seq   uint64 // tie-breaker: FIFO among same-time, same-phase events
 	fn    func()
-	// gen increments every time the event struct is recycled through the
+	fnArg func(int)
+	arg   int
+	// gen increments every time the event is recycled through the
 	// free-list; Timers snapshot it so cancelling a stale handle cannot
 	// touch an unrelated reused event.
-	gen   uint64
-	index int // heap index, -1 when popped
+	gen uint64
+	pos int32 // heap index, -1 when not queued
 }
 
-type eventHeap []*event
+// slot is one heap entry. The sort key is held inline — time, then
+// phase<<63|seq — so ordering never touches the event arena.
+//
+// phase orders events within one instant: normal events (phase 0) run
+// before late ones (phase 1, scheduled via AtLate). Late events are
+// end-of-instant finalizers — they observe every normal event's effects
+// at their timestamp, which is what makes the Spark runner's
+// stage-completion bookkeeping independent of event arrival order (see
+// internal/spark). seq is the FIFO tie-break among same-time,
+// same-phase events, so (at, key) is a total order and the pop sequence
+// does not depend on the heap's shape.
+type slot struct {
+	at  time.Duration
+	key uint64
+	id  int32 // index into Engine.events
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].phase != h[j].phase {
-		return h[i].phase < h[j].phase
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+const latePhase = 1 << 63
+
+func (a slot) less(b slot) bool {
+	return a.at < b.at || (a.at == b.at && a.key < b.key)
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
 // for concurrent use; all callbacks run on the goroutine that calls Run.
 type Engine struct {
 	now     time.Duration
-	heap    eventHeap
-	free    []*event // recycled event structs
+	heap    []slot  // 4-ary min-heap on (at, key)
+	events  []event // arena; heap slots and Timers index it
+	free    []int32 // recycled arena indices
 	seq     uint64
 	running bool
 	steps   uint64
@@ -88,8 +78,8 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// NewEngineSized returns an engine whose event heap and free-list are
-// pre-sized for roughly hint concurrently pending events, avoiding
+// NewEngineSized returns an engine whose event heap, arena and free-list
+// are pre-sized for roughly hint concurrently pending events, avoiding
 // re-growth in large simulations. The hint is only a capacity; the
 // engine grows past it transparently.
 func NewEngineSized(hint int) *Engine {
@@ -97,8 +87,9 @@ func NewEngineSized(hint int) *Engine {
 		hint = 0
 	}
 	return &Engine{
-		heap: make(eventHeap, 0, hint),
-		free: make([]*event, 0, hint),
+		heap:   make([]slot, 0, hint),
+		events: make([]event, 0, hint),
+		free:   make([]int32, 0, hint),
 	}
 }
 
@@ -111,59 +102,130 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // Timer identifies a scheduled event so it can be cancelled. The zero
 // Timer is valid and cancels nothing.
 type Timer struct {
-	ev  *event
-	gen uint64
 	eng *Engine
+	id  int32
+	gen uint64
 }
 
 // Cancel prevents the event from firing and immediately returns its
 // storage to the engine's free-list. Cancelling an already-fired,
 // already-cancelled or zero timer is a no-op.
 func (t Timer) Cancel() {
-	ev := t.ev
-	if ev == nil || ev.gen != t.gen {
-		return // already fired (and possibly recycled), or zero Timer
+	e := t.eng
+	if e == nil {
+		return // zero Timer
 	}
-	if ev.index >= 0 {
-		heap.Remove(&t.eng.heap, ev.index)
+	ev := &e.events[t.id]
+	if ev.gen != t.gen {
+		return // already fired or cancelled (and possibly recycled)
 	}
-	t.eng.recycle(ev)
+	// A matching generation means the event is still queued: firing
+	// recycles it (bumping gen) before its callback runs.
+	e.removeAt(int(ev.pos))
+	e.recycle(t.id)
 }
 
 // recycle wipes an event and pushes it onto the free-list. Bumping gen
 // invalidates every outstanding Timer for the old incarnation.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+func (e *Engine) recycle(id int32) {
+	ev := &e.events[id]
+	ev.fn, ev.fnArg = nil, nil
 	ev.gen++
-	ev.index = -1
-	e.free = append(e.free, ev)
+	ev.pos = -1
+	e.free = append(e.free, id)
 }
 
-// alloc returns a fresh or recycled event struct.
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past panics: it is always a logic error in a DES.
-func (e *Engine) At(t time.Duration, fn func()) Timer {
+// schedule queues a callback at absolute time t in the given phase
+// (0 or latePhase). Scheduling in the past panics: it is always a logic
+// error in a DES.
+func (e *Engine) schedule(t time.Duration, phase uint64, fn func(), fnArg func(int), arg int) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	ev := e.alloc()
-	ev.at = t
-	ev.phase = 0
-	ev.seq = e.seq
-	ev.fn = fn
+	var id int32
+	if n := len(e.free); n > 0 {
+		id = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		id = int32(len(e.events))
+		e.events = append(e.events, event{})
+	}
+	ev := &e.events[id]
+	ev.fn, ev.fnArg, ev.arg = fn, fnArg, arg
+	s := slot{at: t, key: phase | e.seq, id: id}
 	e.seq++
-	heap.Push(&e.heap, ev)
-	return Timer{ev: ev, gen: ev.gen, eng: e}
+	e.heap = append(e.heap, s)
+	e.up(len(e.heap)-1, s)
+	return Timer{eng: e, id: id, gen: ev.gen}
+}
+
+// up sifts s toward the root from hole i, recording every moved slot's
+// new position in the arena.
+func (e *Engine) up(i int, s slot) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 4
+		ps := h[p]
+		if !s.less(ps) {
+			break
+		}
+		h[i] = ps
+		e.events[ps.id].pos = int32(i)
+		i = p
+	}
+	h[i] = s
+	e.events[s.id].pos = int32(i)
+}
+
+// down sifts s toward the leaves from hole i.
+func (e *Engine) down(i int, s slot) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(s) {
+			break
+		}
+		h[i] = h[m]
+		e.events[h[i].id].pos = int32(i)
+		i = m
+	}
+	h[i] = s
+	e.events[s.id].pos = int32(i)
+}
+
+// removeAt deletes the slot at heap index i, refilling the hole with
+// the last slot.
+func (e *Engine) removeAt(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.less(e.heap[(i-1)/4]) {
+		e.up(i, last)
+	} else {
+		e.down(i, last)
+	}
+}
+
+// At schedules fn to run at absolute virtual time t.
+func (e *Engine) At(t time.Duration, fn func()) Timer {
+	return e.schedule(t, 0, fn, nil, 0)
 }
 
 // AtLate schedules fn at absolute virtual time t in the late phase:
@@ -171,17 +233,7 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 // events were enqueued. Among themselves, late events keep FIFO order.
 // Use it for end-of-instant finalizers that must see a settled state.
 func (e *Engine) AtLate(t time.Duration, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	ev := e.alloc()
-	ev.at = t
-	ev.phase = 1
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return Timer{ev: ev, gen: ev.gen, eng: e}
+	return e.schedule(t, latePhase, fn, nil, 0)
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -190,7 +242,17 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	return e.schedule(e.now+d, 0, fn, nil, 0)
+}
+
+// AfterArg is After for a callback taking an int: fn(arg) runs d after
+// the current time. Binding fn once and varying arg schedules per-item
+// work (a queued task, say) without allocating a closure per item.
+func (e *Engine) AfterArg(d time.Duration, fn func(int), arg int) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return e.schedule(e.now+d, 0, nil, fn, arg)
 }
 
 // Run processes events until the heap is empty (or MaxSteps is hit).
@@ -208,22 +270,27 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.heap) > 0 {
-		ev := e.heap[0]
-		if ev.at > deadline {
+		top := e.heap[0]
+		if top.at > deadline {
 			break
 		}
-		heap.Pop(&e.heap)
-		e.now = ev.at
+		e.removeAt(0)
+		e.now = top.at
 		e.steps++
 		if e.MaxSteps > 0 && e.steps > e.MaxSteps {
 			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d (runaway simulation?)", e.MaxSteps))
 		}
-		fn := ev.fn
-		// Recycle before running fn: the callback commonly schedules a
-		// follow-up event, which then reuses this struct instead of
-		// allocating. The Timer generation check keeps this safe.
-		e.recycle(ev)
-		fn()
+		ev := &e.events[top.id]
+		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+		// Recycle before running the callback: it commonly schedules a
+		// follow-up event, which then reuses this slot instead of
+		// growing the arena. The Timer generation check keeps this safe.
+		e.recycle(top.id)
+		if fn != nil {
+			fn()
+		} else {
+			fnArg(arg)
+		}
 	}
 	return e.now
 }

@@ -106,11 +106,13 @@ type FlowResource struct {
 	// allocation-free pass instead of a per-event sort.
 	sorted []*Flow
 
-	timer     Timer
-	timerSet  bool
-	lastBusy  time.Duration
-	stats     FlowStats
-	recompute bool // guard against re-entrant recomputation
+	timer    Timer
+	timerSet bool
+	lastBusy time.Duration
+	stats    FlowStats
+	// finishF is finishReady bound once, so rescheduling the completion
+	// timer on every reallocation does not allocate a method value.
+	finishF func()
 	// doneScratch is finishReady's reusable completed-flow buffer, so
 	// the steady-state completion path stays allocation-free.
 	doneScratch []*Flow
@@ -130,7 +132,9 @@ type FlowEvent struct {
 
 // NewFlowResource creates a resource attached to the engine.
 func NewFlowResource(eng *Engine, name string) *FlowResource {
-	return &FlowResource{eng: eng, name: name}
+	r := &FlowResource{eng: eng, name: name}
+	r.finishF = r.finishReady
+	return r
 }
 
 // Name returns the resource name.
@@ -244,7 +248,7 @@ func (r *FlowResource) reallocate() {
 	// Round up by one tick: the engine clock has nanosecond resolution,
 	// and undershooting would leave sub-nanosecond residues that can
 	// never drain (advance() would see dt = 0 forever).
-	r.timer = r.eng.After(units.SecDuration(minT)+time.Nanosecond, r.finishReady)
+	r.timer = r.eng.After(units.SecDuration(minT)+time.Nanosecond, r.finishF)
 	r.timerSet = true
 }
 

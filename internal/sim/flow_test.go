@@ -382,12 +382,12 @@ func TestCorePoolCapacityChangeMidFlow(t *testing.T) {
 	p := NewCorePool(e, 4)
 	r := NewFlowResource(e, "disk")
 	finished := 0
-	task := func() {
+	task := func(int) {
 		r.Start(&Flow{Name: "t", Bytes: 10 * units.MB, FullRate: units.MBps(100),
 			OnComplete: func() { finished++; p.Release() }})
 	}
 	for i := 0; i < 12; i++ {
-		p.Acquire(task)
+		p.Acquire(task, 0)
 	}
 	// Shrink while the first wave's flows are mid-transfer, then regrow
 	// once the queue has mostly drained.

@@ -178,6 +178,15 @@ func (s Stage) Tasks() int {
 	return n
 }
 
+// tasks is the app's task count over all stages.
+func (a App) tasks() int {
+	n := 0
+	for _, s := range a.Stages {
+		n += s.Tasks()
+	}
+	return n
+}
+
 // TotalBytes sums the stage's cluster-wide volume for an op kind.
 func (s Stage) TotalBytes(kind OpKind) units.ByteSize {
 	var total units.ByteSize

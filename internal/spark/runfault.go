@@ -240,7 +240,7 @@ func (r *runner) maybeSpeculate(st *stageState) {
 			r.bail()
 		}
 		task, gi, idx := a.task, a.gi, a.taskIdx
-		other.cores.Acquire(func() { r.dispatch(st, task, other, gi, idx+specCopyIdxOffset, 1, true) })
+		other.cores.Acquire(func(int) { r.dispatch(st, task, other, gi, idx+specCopyIdxOffset, 1, true) }, 0)
 	}
 	r.cands = cands[:0]
 }
@@ -367,14 +367,14 @@ func (r *runner) failAttempt(st *stageState, a *attempt, kind FailureKind) {
 		r.noteNodeFailure(nd)
 	}
 	f := r.cfg.Faults
-	if task.failures >= f.maxTaskFailures() {
-		r.failApp(&TaskFailedError{App: r.app.Name, Stage: st.stage.Name, Task: taskIdx, Failures: task.failures, Kind: kind})
+	if int(task.failures) >= f.maxTaskFailures() {
+		r.failApp(&TaskFailedError{App: r.app.Name, Stage: st.stage.Name, Task: taskIdx, Failures: int(task.failures), Kind: kind})
 		return
 	}
 	if task.inflight > 0 {
 		return // a speculative sibling may still win
 	}
-	r.retryTask(st, task, nd.id, gi, g, taskIdx, f.backoff(task.failures))
+	r.retryTask(st, task, nd.id, gi, g, taskIdx, f.backoff(int(task.failures)))
 }
 
 // retryTask relaunches a task on a healthy node after the backoff.
@@ -394,7 +394,7 @@ func (r *runner) retryTask(st *stageState, task *taskState, fromID, gi int, g Ta
 		if r.partial && !r.dirtyReal[tid] {
 			r.bail()
 		}
-		target.cores.Acquire(func() { r.dispatch(st, task, target, gi, taskIdx, 1, false) })
+		target.cores.Acquire(func(int) { r.dispatch(st, task, target, gi, taskIdx, 1, false) }, 0)
 	})
 }
 
@@ -419,8 +419,8 @@ func (r *runner) fetchFail(st *stageState, a *attempt) {
 	r.res.Faults.TaskFailures++
 	r.res.Faults.FetchFailures++
 	f := r.cfg.Faults
-	if task.fetchFailures >= f.maxTaskFailures() {
-		r.failApp(&TaskFailedError{App: r.app.Name, Stage: st.stage.Name, Task: taskIdx, Failures: task.fetchFailures, Kind: FailFetch})
+	if int(task.fetchFailures) >= f.maxTaskFailures() {
+		r.failApp(&TaskFailedError{App: r.app.Name, Stage: st.stage.Name, Task: taskIdx, Failures: int(task.fetchFailures), Kind: FailFetch})
 		return
 	}
 	if task.inflight > 0 {
@@ -428,12 +428,12 @@ func (r *runner) fetchFail(st *stageState, a *attempt) {
 	}
 	if len(st.deps) == 0 {
 		// No parent stage to recompute; degrade to a plain retry.
-		r.retryTask(st, task, fromID, gi, g, taskIdx, f.backoff(task.fetchFailures))
+		r.retryTask(st, task, fromID, gi, g, taskIdx, f.backoff(int(task.fetchFailures)))
 		return
 	}
 	parent := r.states[st.deps[0]]
 	r.recomputeParent(st, parent, fromID, func() {
-		r.retryTask(st, task, fromID, gi, g, taskIdx, f.backoff(task.fetchFailures))
+		r.retryTask(st, task, fromID, gi, g, taskIdx, f.backoff(int(task.fetchFailures)))
 	})
 }
 
@@ -453,7 +453,7 @@ func (r *runner) recomputeParent(st *stageState, parent *stageState, fromID int,
 		r.bail()
 	}
 	g := parent.stage.Groups[0]
-	target.cores.Acquire(func() {
+	target.cores.Acquire(func(int) {
 		var run func(i int)
 		run = func(i int) {
 			if r.err != nil || i >= len(g.Ops) {
@@ -471,5 +471,5 @@ func (r *runner) recomputeParent(st *stageState, parent *stageState, fromID int,
 			})
 		}
 		r.eng.After(units.SecDuration(r.cfg.TaskLaunchOverhead.Seconds()), func() { run(0) })
-	})
+	}, 0)
 }

@@ -72,33 +72,37 @@ func (r *runner) execSpill(st *stageState, a *attempt, kind OpKind, done func())
 
 // memEpilogue runs between an attempt's last op and finish: the spill
 // re-read (the overflow must come back from the Local device to emit
-// the task's output), then the occupancy-driven GC pause. The pause
-// holds this core directly and stalls the node's other cores through
-// gcUntil + memGate. Occupancy is sampled before the release — the
-// collection happens under the completing wave's full pressure.
-func (r *runner) memEpilogue(st *stageState, a *attempt, done func()) {
-	fin := func() {
-		pause := r.gcPause(st, a)
-		r.releaseMem(a)
-		if pause <= 0 {
-			done()
-			return
-		}
-		until := r.eng.Now() + pause
-		if until > a.nd.gcUntil {
-			a.nd.gcUntil = until
-		}
-		st.res.Mem.GCPauses++
-		r.res.Mem.GCPauses++
-		st.res.Mem.GCStall += pause
-		r.res.Mem.GCStall += pause
-		r.eng.After(pause, done)
-	}
+// the task's output), then the occupancy-driven GC pause (memGC).
+func (r *runner) memEpilogue(st *stageState, a *attempt) {
 	if a.spill > 0 && !a.task.done {
-		r.execSpill(st, a, OpSpillRead, fin)
+		r.execSpill(st, a, OpSpillRead, a.memGCF)
 		return
 	}
-	fin()
+	a.memGC()
+}
+
+// memGC charges the GC pause a completing attempt triggers, then
+// finishes it. The pause holds this core directly and stalls the node's
+// other cores through gcUntil + memGate. Occupancy is sampled before the
+// release — the collection happens under the completing wave's full
+// pressure.
+func (a *attempt) memGC() {
+	r, st := a.r, a.st
+	pause := r.gcPause(st, a)
+	r.releaseMem(a)
+	if pause <= 0 {
+		a.finish()
+		return
+	}
+	until := r.eng.Now() + pause
+	if until > a.nd.gcUntil {
+		a.nd.gcUntil = until
+	}
+	st.res.Mem.GCPauses++
+	r.res.Mem.GCPauses++
+	st.res.Mem.GCStall += pause
+	r.res.Mem.GCStall += pause
+	r.eng.After(pause, a.finishF)
 }
 
 // gcPause returns the stop-the-world pause a completing attempt

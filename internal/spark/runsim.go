@@ -157,6 +157,10 @@ type stageState struct {
 	// tasks is the logical-task slab: one entry per dispatched task,
 	// allocated in a single slice per stage.
 	tasks []taskState
+	// dispatchF is the stage's launch callback, bound once: a task's
+	// initial core request queues (dispatchF, its slab index), so
+	// queueing a stage allocates nothing per task.
+	dispatchF func(int)
 }
 
 // addRunning links an attempt into the stage's running list.
@@ -189,15 +193,23 @@ func (st *stageState) removeRunning(a *attempt) {
 
 // taskState is one logical task, possibly executed by several attempts.
 type taskState struct {
-	done       bool
-	attempts   int
-	speculated bool
+	// placement of the task's initial dispatch (node, group, task
+	// index), read by stageState.dispatchF. Retries, bounces and
+	// speculative copies can queue several dispatches of one task at
+	// once, each with its own placement, so those carry theirs in a
+	// closure instead. The slab holds one entry per task of a stage, so
+	// the fields are packed.
+	nd      *node
+	gi, idx int32
 	// fault bookkeeping: counted failures against the attempt budget,
 	// fetch failures (Spark tracks these separately from task failures),
 	// and the number of attempts currently in flight.
-	failures      int
-	fetchFailures int
-	inflight      int
+	attempts      int32
+	failures      int32
+	fetchFailures int32
+	inflight      int32
+	done          bool
+	speculated    bool
 }
 
 // attempt is one execution of a task on one node. Attempts are pooled
@@ -247,12 +259,16 @@ type attempt struct {
 	prev, next *attempt
 	inList     bool
 	freeNext   *attempt
-	// prebound callbacks, created once per pooled attempt.
+	// prebound callbacks, created once per pooled attempt. The pool
+	// grows to the run's peak task concurrency, so only the two every
+	// task walk uses are bound up front: the memory layer's three when
+	// it is on, gcDoneF on first use.
 	launchF   func()
-	stepF     func()
 	flowDoneF func()
 	gcDoneF   func()
+	stepF     func()
 	finishF   func()
+	memGCF    func()
 }
 
 type runner struct {
@@ -277,10 +293,17 @@ type runner struct {
 	// end-of-instant finalizer state (see finalize).
 	finalSet bool
 	finalF   func()
-	// pools and scratch.
-	freeA *attempt
-	cands []*attempt
+	// pools and scratch: freeA is the recycled-attempt list; slabA
+	// holds not-yet-issued attempts of the current chunk, and pooledA
+	// counts every attempt issued (chunks double up to attemptChunk).
+	freeA   *attempt
+	slabA   []attempt
+	pooledA int
+	cands   []*attempt
 }
+
+// attemptChunk caps how many attempts the pool allocates at once.
+const attemptChunk = 256
 
 // busySums totals the device utilisation seconds across the cluster
 // (iostat's %util integral, not mere occupancy), folding the
@@ -325,18 +348,28 @@ func newRunner(cfg ClusterConfig, app App, forcePerTask bool) *runner {
 	if r.repReal >= 0 {
 		simNodes = cfg.Slaves - r.repMult + 1
 	}
-	eng := sim.NewEngineSized(simNodes*(cfg.ExecutorCores+4) + 16)
+	// Pending events peak near one per running task plus a completion
+	// timer per busy device: size the engine by the smaller of the task
+	// slots and the app's task count, plus a timer per node.
+	slots := simNodes * cfg.ExecutorCores
+	if n := app.tasks(); n < slots {
+		slots = n
+	}
+	eng := sim.NewEngineSized(slots + simNodes + 16)
 	r.eng = eng
 	newNode := func(id int) *node {
+		// Resources carry static device names: a per-node name would be
+		// formatted three times per node per run, only ever to appear
+		// in a simulator panic.
 		n := &node{
 			id:    id,
 			si:    len(r.ns),
 			cores: sim.NewCorePool(eng, cfg.ExecutorCores),
-			hdfs:  sim.NewFlowResource(eng, fmt.Sprintf("node%d/hdfs", id)),
-			local: sim.NewFlowResource(eng, fmt.Sprintf("node%d/local", id)),
+			hdfs:  sim.NewFlowResource(eng, "hdfs"),
+			local: sim.NewFlowResource(eng, "local"),
 		}
 		if cfg.ModelNetwork {
-			n.nic = sim.NewFlowResource(eng, fmt.Sprintf("node%d/nic", id))
+			n.nic = sim.NewFlowResource(eng, "nic")
 		}
 		r.ns = append(r.ns, n)
 		return n
@@ -565,6 +598,7 @@ func (r *runner) completeStage(st *stageState) {
 		st.res.IO[OpKind(k)] = IOStat{Bytes: agg.bytes, Ops: agg.ops, Time: agg.time, Requests: req}
 	}
 	st.tasks = nil
+	st.dispatchF = nil
 	st.reqSub = nil
 	st.med = nil
 	st.completed = true
@@ -619,6 +653,10 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 		dispatched = per * len(r.ns) // dirty nodes + the representative
 	}
 	st.tasks = make([]taskState, dispatched)
+	st.dispatchF = func(i int) {
+		t := &st.tasks[i]
+		r.dispatch(st, t, t.nd, int(t.gi), int(t.idx), r.multOf(t.nd), false)
+	}
 	ti := 0
 	taskIdx := 0
 	for gi, g := range stage.Groups {
@@ -639,10 +677,6 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 			if nd == r.rep && home != r.repReal {
 				continue // clean-cohort sibling: folded into the representative
 			}
-			mult := 1
-			if nd == r.rep {
-				mult = r.repMult
-			}
 			if r.faultsOn() {
 				target, tid := r.pickHealthy(home, nil)
 				if target == nil {
@@ -658,10 +692,21 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 				nd = target
 			}
 			task := &st.tasks[ti]
+			task.nd, task.gi, task.idx = nd, int32(gi), int32(idx)
+			nd.cores.Acquire(st.dispatchF, ti)
 			ti++
-			nd.cores.Acquire(func() { r.dispatch(st, task, nd, gi, idx, mult, false) })
 		}
 	}
+}
+
+// multOf is the full-cluster multiplicity of a task placed on nd: the
+// cohort size on the representative, 1 on an individually simulated
+// node.
+func (r *runner) multOf(nd *node) int {
+	if nd == r.rep {
+		return r.repMult
+	}
+	return 1
 }
 
 // dispatch runs when a core frees up for a queued task attempt: it
@@ -688,7 +733,7 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 			if r.partial && !r.dirtyReal[tid] {
 				r.bail()
 			}
-			target.cores.Acquire(func() { r.dispatch(st, task, target, gi, taskIdx, mult, speculative) })
+			target.cores.Acquire(func(int) { r.dispatch(st, task, target, gi, taskIdx, mult, speculative) }, 0)
 			return
 		}
 	}
@@ -705,15 +750,15 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 		// Decide this attempt's fate up front, deterministically from
 		// (seed, stage, task, attempt). The failure point is uniform over
 		// the op boundaries, including the final one.
-		if p := f.TaskFailureProb; p > 0 && r.faultHash01(st.idx, taskIdx, task.attempts, saltFailProb) < p {
-			a.failAt = int(r.faultHash01(st.idx, taskIdx, task.attempts, saltFailAt) * float64(len(g.Ops)+1))
+		if p := f.TaskFailureProb; p > 0 && r.faultHash01(st.idx, taskIdx, int(task.attempts), saltFailProb) < p {
+			a.failAt = int(r.faultHash01(st.idx, taskIdx, int(task.attempts), saltFailAt) * float64(len(g.Ops)+1))
 		}
 		if q := f.ShuffleFetchFailureProb; q > 0 {
 			for i, op := range g.Ops {
 				if op.Kind != OpShuffleRead {
 					continue
 				}
-				if r.faultHash01(st.idx, taskIdx, task.attempts, saltFetch+uint64(i)<<8) < q {
+				if r.faultHash01(st.idx, taskIdx, int(task.attempts), saltFetch+uint64(i)<<8) < q {
 					a.fetchFailAt = i
 					break
 				}
@@ -759,20 +804,28 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 	r.eng.After(units.SecDuration(r.cfg.TaskLaunchOverhead.Seconds()), a.launchF)
 }
 
-// newAttempt takes an attempt from the free list (or grows the pool),
-// binding its callback closures exactly once per pooled object.
+// newAttempt takes an attempt from the free list (or grows the pool in
+// chunks), binding its callback closures exactly once per pooled object.
 func (r *runner) newAttempt(st *stageState, task *taskState, nd *node, gi int, g TaskGroup, taskIdx, mult int, speculative bool) *attempt {
 	a := r.freeA
 	if a != nil {
 		r.freeA = a.freeNext
 		a.freeNext = nil
 	} else {
-		a = &attempt{r: r}
+		if len(r.slabA) == 0 {
+			r.slabA = make([]attempt, min(max(r.pooledA, 4), attemptChunk))
+			r.pooledA += len(r.slabA)
+		}
+		a = &r.slabA[0]
+		r.slabA = r.slabA[1:]
+		a.r = r
 		a.launchF = a.launch
-		a.stepF = a.step
 		a.flowDoneF = a.flowDone
-		a.gcDoneF = a.gcDone
-		a.finishF = a.finish
+		if r.memOn() {
+			a.stepF = a.step
+			a.finishF = a.finish
+			a.memGCF = a.memGC
+		}
 	}
 	a.st, a.task, a.nd = st, task, nd
 	a.gi, a.g, a.taskIdx, a.mult = gi, g, taskIdx, mult
@@ -843,6 +896,9 @@ func (a *attempt) step() {
 		// GC fallback for compute-only groups: a trailing pause.
 		if a.gcTime > 0 && a.gcIOBytes == 0 {
 			a.opStart = r.eng.Now()
+			if a.gcDoneF == nil {
+				a.gcDoneF = a.gcDone
+			}
 			r.eng.After(a.gcTime, a.gcDoneF)
 			return
 		}
@@ -880,7 +936,7 @@ func (a *attempt) gcDone() {
 // the spill re-read and the occupancy-driven GC pause run first.
 func (a *attempt) endTask() {
 	if a.r.memOn() {
-		a.r.memEpilogue(a.st, a, a.finishF)
+		a.r.memEpilogue(a.st, a)
 		return
 	}
 	a.finish()
