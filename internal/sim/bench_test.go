@@ -73,24 +73,33 @@ func BenchmarkFlowChurn(b *testing.B) {
 	e.Run()
 }
 
+// corePoolBurst is how many acquirers one BenchmarkCorePoolAcquireRelease
+// op queues.
+const corePoolBurst = 1024
+
 // BenchmarkCorePoolAcquireRelease measures the FIFO core queue under
-// sustained handoff: b.N waiters queue behind 16 cores with one
-// callback bound up front, so B/op is the ring's amortised growth.
+// sustained handoff: each op queues corePoolBurst waiters behind 16
+// cores of a fresh engine and pool, with one callback bound per op, and
+// drains them. Starting fresh makes B/op independent of b.N: it is the
+// ring's growth to corePoolBurst entries (~32 KiB at 16 bytes per
+// entry) plus the engine's and pool's fixed setup, so a wider queue
+// entry shows up directly.
 func BenchmarkCorePoolAcquireRelease(b *testing.B) {
-	e := NewEngine()
-	p := NewCorePool(e, 16)
 	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	run := func(int) {
-		done++
-		p.Release()
-	}
 	for i := 0; i < b.N; i++ {
-		p.Acquire(run, i)
-	}
-	e.Run()
-	if done != b.N {
-		b.Fatalf("ran %d of %d", done, b.N)
+		e := NewEngine()
+		p := NewCorePool(e, 16)
+		done := 0
+		run := func(int) {
+			done++
+			p.Release()
+		}
+		for k := 0; k < corePoolBurst; k++ {
+			p.Acquire(run, k)
+		}
+		e.Run()
+		if done != corePoolBurst {
+			b.Fatalf("ran %d of %d", done, corePoolBurst)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/units"
 )
 
-// TestQueuedTasksDoNotAllocate pins the per-task path's allocation
+// TestQueuedTasksDoNotAllocate pins the simulator's allocation
 // profile: with nodes × cores fixed, doubling a stage's task count may
 // add only O(1) allocations (the core queues' ring growth, one per
 // node), never O(tasks). Queued tasks are (callback, slab index) pairs
@@ -19,7 +19,6 @@ func TestQueuedTasksDoNotAllocate(t *testing.T) {
 	const slaves, cores = 4, 4
 	ssd := disk.NewSSD()
 	cfg := DefaultTestbed(slaves, cores, ssd, ssd)
-	cfg.DisableCoalescing = true
 	app := func(tasks int) App {
 		return App{Name: "alloc", Stages: []Stage{
 			{Name: "map", Groups: []TaskGroup{{Name: "map", Count: tasks, Ops: []Op{

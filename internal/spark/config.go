@@ -87,15 +87,8 @@ type ClusterConfig struct {
 	// reservation per task, spill to the Local device when a wave's
 	// resident set exceeds the heap, and occupancy-driven GC stalls
 	// (see MemoryConfig). The zero value disables the memory layer
-	// entirely. A memory-enabled run always takes the per-task
-	// simulation path (heap occupancy couples nodes through task
-	// placement, so wave coalescing does not apply).
+	// entirely.
 	Memory MemoryConfig
-	// DisableCoalescing forces the per-task simulation path even when a
-	// run qualifies for wave coalescing (see docs/PERF.md). Coalescing
-	// is output-preserving, so this knob exists only for A/B equivalence
-	// tests and performance debugging.
-	DisableCoalescing bool
 }
 
 // DurationParam is a plain duration in seconds used in configs so zero

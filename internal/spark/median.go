@@ -60,14 +60,6 @@ func (m *medianTracker) Add(d time.Duration) {
 	m.n++
 }
 
-// AddN records the duration n times — the wave-coalescing path inserts
-// one representative completion once per replicated node.
-func (m *medianTracker) AddN(d time.Duration, n int) {
-	for i := 0; i < n; i++ {
-		m.Add(d)
-	}
-}
-
 // The sift helpers are hand-rolled on plain slices (rather than
 // container/heap) so insertions stay free of interface allocations.
 

@@ -63,21 +63,3 @@ func TestMedianTrackerMatchesOracle(t *testing.T) {
 		})
 	}
 }
-
-// TestMedianTrackerAddN pins the coalesced-fold insertion (one value,
-// multiplicity n) against n oracle insertions.
-func TestMedianTrackerAddN(t *testing.T) {
-	m := newMedianTracker(64)
-	var o oracleMedian
-	for i := 0; i < 200; i++ {
-		d := time.Duration(splitmix(uint64(i)) % 10_000)
-		n := 1 + int(splitmix(uint64(i)*13)%5)
-		m.AddN(d, n)
-		for k := 0; k < n; k++ {
-			o.Add(d)
-		}
-		if got, want := m.Median(), o.Median(); got != want {
-			t.Fatalf("after batch %d Median() = %v, oracle %v", i, got, want)
-		}
-	}
-}

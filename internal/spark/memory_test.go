@@ -197,8 +197,7 @@ func TestMemHugeHeapEquivalence(t *testing.T) {
 	ssd := disk.NewSSD()
 	app := scaleAppSized(4, 4, 64)
 
-	base := DefaultTestbed(4, 4, ssd, ssd) // default jitter: per-task path
-	base.DisableCoalescing = true
+	base := DefaultTestbed(4, 4, ssd, ssd)
 	want, err := Run(base, app)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +239,7 @@ func TestMemReleasedOnAllExits(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(cfg, app, false)
+	r := newRunner(cfg, app)
 	// The aggressive failure rate may abort the app; the reservation
 	// invariant must hold either way (aborted runs drain their
 	// in-flight attempts through the r.err path).

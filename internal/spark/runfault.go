@@ -32,156 +32,6 @@ func (r *runner) faultHash01(stageIdx, taskIdx, attempt int, salt uint64) float6
 	return float64(x>>11) / float64(1<<53)
 }
 
-// planPartial decides whether a degraded run (faults, speculation,
-// stragglers — the configurations full coalescing must reject)
-// qualifies for partial coalescing, and if so pre-draws the dirty-node
-// partition: every fault and straggler decision is a pure function of
-// the seeded hashes, so the set of tasks that will draw a degradation
-// event — and the nodes their recovery can touch — is known before the
-// event loop starts. Nodes outside that set execute provably identical
-// event sequences and fold into one representative.
-//
-// The plan is conservative where it can be (recovery taint spans) and
-// exact where it must be (the attempt-1 draws reuse the dispatch-time
-// hash calls verbatim); any runtime violation bails to the per-task
-// path, so a misprediction costs speed, never accuracy.
-func planPartial(cfg ClusterConfig, app App) (dirty []bool, dirtyCount, repReal int, ok bool) {
-	if !partialEligible(cfg, app) {
-		return nil, 0, -1, false
-	}
-	rr := &runner{cfg: cfgDerived{ClusterConfig: cfg}}
-	dirty = rr.drawDirty(app)
-	for _, d := range dirty {
-		if d {
-			dirtyCount++
-		}
-	}
-	// The fold needs a cohort: with fewer than two clean nodes the
-	// representative buys nothing over per-task.
-	if cfg.Slaves-dirtyCount < 2 {
-		return nil, 0, -1, false
-	}
-	repReal = -1
-	for id, d := range dirty {
-		if !d {
-			repReal = id
-			break
-		}
-	}
-	return dirty, dirtyCount, repReal, true
-}
-
-// partialEligible holds the static preconditions for partial
-// coalescing — the properties that make the clean cohort symmetric.
-func partialEligible(cfg ClusterConfig, app App) bool {
-	if cfg.DisableCoalescing || cfg.Slaves <= 2 {
-		return false
-	}
-	if !(cfg.Faults.Enabled() || cfg.Speculation || cfg.StragglerFraction > 0) {
-		return false // clean runs belong to full coalescing
-	}
-	// Jitter draws a distinct factor per task, so no two nodes run the
-	// same schedule; heap occupancy couples co-resident tasks the same
-	// way. Both stay per-task.
-	if cfg.ComputeJitter > 0 || cfg.Memory.Enabled() {
-		return false
-	}
-	// A scheduled crash dirties the whole cluster: surviving nodes
-	// absorb the dead node's share asymmetrically.
-	if len(cfg.Faults.NodeCrashes) > 0 {
-		return false
-	}
-	// A speculation multiplier at or below 1 makes roughly half the
-	// running tasks instant candidates — the clean cohort would bail
-	// immediately.
-	if cfg.Speculation && cfg.SpeculationMultiplier > 0 && cfg.SpeculationMultiplier <= 1 {
-		return false
-	}
-	for _, s := range app.Stages {
-		for _, g := range s.Groups {
-			if g.Count%cfg.Slaves != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// drawDirty replays every attempt-1 fate draw the dispatcher will make
-// — the same faultHash01/hash01 calls with the same salts — and taints
-// the nodes an eventful task's recovery can reach: its home node, plus
-// a window covering retries (each hop moves one node right), the
-// speculative copy (launched one node right), and the follow-on
-// failures drawn on the retry and copy chains.
-func (r *runner) drawDirty(app App) []bool {
-	S := r.cfg.Slaves
-	dirty := make([]bool, S)
-	f := r.cfg.Faults
-	maxF := 1
-	if f.Enabled() {
-		maxF = f.maxTaskFailures()
-	}
-	taint := func(home, span int) {
-		if span >= S {
-			span = S - 1
-		}
-		for k := 0; k <= span; k++ {
-			dirty[(home+k)%S] = true
-		}
-	}
-	for si, s := range app.Stages {
-		idx := 0
-		for _, g := range s.Groups {
-			// draws reports whether attempt number a of hash-index tid
-			// would draw a failure or fetch failure.
-			draws := func(tid, a int) bool {
-				if p := f.TaskFailureProb; p > 0 && r.faultHash01(si, tid, a, saltFailProb) < p {
-					return true
-				}
-				if q := f.ShuffleFetchFailureProb; q > 0 {
-					for i, op := range g.Ops {
-						if op.Kind == OpShuffleRead && r.faultHash01(si, tid, a, saltFetch+uint64(i)<<8) < q {
-							return true
-						}
-					}
-				}
-				return false
-			}
-			for t := 0; t < g.Count; t++ {
-				eventful := f.Enabled() && draws(idx, 1)
-				if sf := r.cfg.StragglerFraction; sf > 0 && r.hash01(si, idx, saltStraggler) < sf {
-					eventful = true
-				}
-				if !eventful {
-					idx++
-					continue
-				}
-				// Count every failure the retry chain and the speculative
-				// copy's chain could draw; attempt numbers are dynamic at
-				// runtime, so scan a window twice the attempt budget.
-				fails := 0
-				if f.Enabled() {
-					for a := 2; a <= 2*maxF; a++ {
-						if draws(idx, a) {
-							fails++
-						}
-					}
-					if r.cfg.Speculation {
-						for a := 1; a <= 2*maxF; a++ {
-							if draws(idx+specCopyIdxOffset, a) {
-								fails++
-							}
-						}
-					}
-				}
-				taint(idx%S, 2+fails)
-				idx++
-			}
-		}
-	}
-	return dirty
-}
-
 // maybeSpeculate launches a second attempt for tasks that have run far
 // past the median completed duration (spark.speculation semantics). It
 // runs in the engine's late phase (see scheduleFinal), so the median
@@ -207,11 +57,6 @@ func (r *runner) maybeSpeculate(st *stageState) {
 		if now-a.start < threshold {
 			continue
 		}
-		if a.nd == r.rep {
-			// A clean-cohort task lagging the median breaks the plan's
-			// "nothing notable happens on clean nodes" premise.
-			r.bail()
-		}
 		j := len(cands)
 		cands = append(cands, a)
 		for j > 0 && cands[j-1].taskIdx > a.taskIdx {
@@ -223,58 +68,45 @@ func (r *runner) maybeSpeculate(st *stageState) {
 		a.task.speculated = true
 		// Relaunch on the next node over; the copy is a fresh attempt
 		// (stragglers are machine-local, so the copy runs clean).
-		var other *node
-		var tid int
+		other := r.ns[(a.nd.id+1)%r.cfg.Slaves]
 		if r.faultsOn() {
-			other, tid = r.pickHealthy(a.nd.id+1, a.nd)
-			if other == nil {
+			if other = r.pickHealthy(a.nd.id+1, a.nd); other == nil {
 				// Nowhere to speculate; the original attempt may still
 				// finish on its own.
 				continue
 			}
-		} else {
-			tid = (a.nd.id + 1) % r.cfg.Slaves
-			other = r.byReal[tid]
-		}
-		if r.partial && !r.dirtyReal[tid] {
-			r.bail()
 		}
 		task, gi, idx := a.task, a.gi, a.taskIdx
-		other.cores.Acquire(func(int) { r.dispatch(st, task, other, gi, idx+specCopyIdxOffset, 1, true) }, 0)
+		other.cores.Acquire(func(int) { r.dispatch(st, task, other, gi, idx+specCopyIdxOffset, true) }, 0)
 	}
 	r.cands = cands[:0]
 }
 
 // pickHealthy returns the first non-crashed, non-blacklisted node at or
-// after real id start (wrapping), with its real id, preferring any node
-// other than avoid; avoid itself is returned only when it is the sole
-// healthy node. Nil means no healthy node exists.
-func (r *runner) pickHealthy(start int, avoid *node) (*node, int) {
+// after id start (wrapping), preferring any node other than avoid;
+// avoid itself is returned only when it is the sole healthy node. Nil
+// means no healthy node exists.
+func (r *runner) pickHealthy(start int, avoid *node) *node {
 	n := r.cfg.Slaves
 	var fallback *node
-	fallbackID := -1
 	for k := 0; k < n; k++ {
-		id := (start + k) % n
-		nd := r.byReal[id]
+		nd := r.ns[(start+k)%n]
 		if nd.crashed || nd.blacklisted {
 			continue
 		}
 		if nd == avoid {
-			if fallback == nil {
-				fallback, fallbackID = nd, id
-			}
+			fallback = nd
 			continue
 		}
-		return nd, id
+		return nd
 	}
-	return fallback, fallbackID
+	return fallback
 }
 
 // noHealthyNodes builds the fatal everything-is-gone error.
 func (r *runner) noHealthyNodes() error {
 	var lost, black int
-	for id := 0; id < r.cfg.Slaves; id++ {
-		n := r.byReal[id]
+	for _, n := range r.ns {
 		if n.crashed {
 			lost++
 		} else if n.blacklisted {
@@ -325,19 +157,13 @@ func (r *runner) noteNodeFailure(nd *node) {
 		return
 	}
 	healthy := 0
-	for id := 0; id < r.cfg.Slaves; id++ {
-		n := r.byReal[id]
+	for _, n := range r.ns {
 		if !n.crashed && !n.blacklisted {
 			healthy++
 		}
 	}
 	if healthy <= 1 {
 		return
-	}
-	if r.partial {
-		// Blacklisting reroutes every future dispatch homed on this
-		// node — the clean cohort's schedules stop being symmetric.
-		r.bail()
 	}
 	nd.blacklisted = true
 	r.res.Faults.NodesBlacklisted++
@@ -381,20 +207,17 @@ func (r *runner) failAttempt(st *stageState, a *attempt, kind FailureKind) {
 func (r *runner) retryTask(st *stageState, task *taskState, fromID, gi int, g TaskGroup, taskIdx int, delay time.Duration) {
 	st.res.Faults.Retries++
 	r.res.Faults.Retries++
-	from := r.byReal[fromID]
+	from := r.ns[fromID]
 	r.eng.After(delay, func() {
 		if task.done || r.err != nil {
 			return
 		}
-		target, tid := r.pickHealthy(fromID+1, from)
+		target := r.pickHealthy(fromID+1, from)
 		if target == nil {
 			r.failApp(r.noHealthyNodes())
 			return
 		}
-		if r.partial && !r.dirtyReal[tid] {
-			r.bail()
-		}
-		target.cores.Acquire(func(int) { r.dispatch(st, task, target, gi, taskIdx, 1, false) }, 0)
+		target.cores.Acquire(func(int) { r.dispatch(st, task, target, gi, taskIdx, false) }, 0)
 	})
 }
 
@@ -444,13 +267,10 @@ func (r *runner) fetchFail(st *stageState, a *attempt) {
 func (r *runner) recomputeParent(st *stageState, parent *stageState, fromID int, then func()) {
 	st.res.Faults.Recomputes++
 	r.res.Faults.Recomputes++
-	target, tid := r.pickHealthy(fromID, nil)
+	target := r.pickHealthy(fromID, nil)
 	if target == nil {
 		r.failApp(r.noHealthyNodes())
 		return
-	}
-	if r.partial && !r.dirtyReal[tid] {
-		r.bail()
 	}
 	g := parent.stage.Groups[0]
 	target.cores.Acquire(func(int) {
@@ -466,7 +286,7 @@ func (r *runner) recomputeParent(st *stageState, parent *stageState, fromID int,
 			op := g.Ops[i]
 			opStart := r.eng.Now()
 			r.execOp(st, target, op, func() {
-				r.accountIO(st, target, op, r.eng.Now()-opStart, 1)
+				r.accountIO(st, target, op, r.eng.Now()-opStart)
 				run(i + 1)
 			})
 		}

@@ -6,11 +6,6 @@ import (
 	"repro/internal/units"
 )
 
-// The memory layer runs only on the per-task path (coalescable and
-// partialEligible both reject Memory.Enabled() configs): heap occupancy
-// couples every task on a node to its co-resident wave, so node
-// symmetry cannot be assumed.
-
 // reserveMem charges an attempt's working set against its node's heap
 // and decides, deterministically, how much of it spills: the overflow
 // above the heap, clamped to the task's own set. Counterpart of
@@ -65,7 +60,7 @@ func (r *runner) execSpill(st *stageState, a *attempt, kind OpKind, done func())
 	nd := a.nd
 	opStart := r.eng.Now()
 	r.execOp(st, nd, op, func() {
-		r.accountIO(st, nd, op, r.eng.Now()-opStart, 1)
+		r.accountIO(st, nd, op, r.eng.Now()-opStart)
 		done()
 	})
 }

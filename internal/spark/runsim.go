@@ -16,18 +16,7 @@ import (
 // DependsOn, the DAG scheduler runs every stage whose dependencies have
 // completed, concurrently — Spark's actual stage semantics.
 //
-// Three execution modes share one event loop, chosen automatically:
-//
-//   - full coalescing: a provably node-symmetric run (see coalescable)
-//     simulates one representative node and folds it back Slaves times;
-//   - partial coalescing: a degraded run (faults, speculation,
-//     stragglers) pre-draws every per-task event from the seeded hashes,
-//     simulates the few "dirty" nodes that host one individually, and
-//     folds one representative over the untouched clean cohort (see
-//     planPartial and docs/PERF.md);
-//   - per-task: everything else, and the oracle the other two modes are
-//     pinned byte-identical against (ClusterConfig.DisableCoalescing
-//     forces it for A/B comparison).
+// Every node and every task attempt is simulated individually.
 func Run(cfg ClusterConfig, app App) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -35,53 +24,12 @@ func Run(cfg ClusterConfig, app App) (*Result, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	r := newRunner(cfg, app, false)
-	res, err, bailed := r.runSafe()
-	if !bailed {
-		return res, err
-	}
-	// The partial-coalescing plan was violated at runtime (a degradation
-	// event reached the clean cohort); rerun per-task, which is always
-	// exact.
-	r = newRunner(cfg, app, true)
-	return r.run()
-}
-
-// bailToPerTask is the panic sentinel the partial-coalescing path
-// throws when a runtime event would break cohort symmetry (a retry or
-// speculative copy landing on a clean node, a blacklisting, a
-// representative task drawing an event the plan missed). Run recovers
-// it and replays the whole simulation per-task, so partial coalescing
-// is an optimisation that can never change a Result.
-type bailToPerTask struct{}
-
-// bail abandons the partial-coalesced simulation.
-func (r *runner) bail() { panic(bailToPerTask{}) }
-
-// runSafe runs the simulation, converting a bail sentinel into the
-// bailed flag. Only the partial path installs the recover — the
-// per-task and fully-coalesced paths never bail, and real panics must
-// keep propagating.
-func (r *runner) runSafe() (res *Result, err error, bailed bool) {
-	if r.partial {
-		defer func() {
-			if v := recover(); v != nil {
-				if _, ok := v.(bailToPerTask); ok {
-					res, err, bailed = nil, nil, true
-					return
-				}
-				panic(v)
-			}
-		}()
-	}
-	res, err = r.run()
-	return res, err, false
+	return newRunner(cfg, app).run()
 }
 
 // node is one simulated slave.
 type node struct {
-	id    int // real cluster index, also the fault-hash / pickHealthy identity
-	si    int // index into runner.ns (per-node accounting rows)
+	id    int // cluster index: position in runner.ns and per-node accounting rows
 	cores *sim.CorePool
 	hdfs  *sim.FlowResource
 	local *sim.FlowResource
@@ -113,11 +61,9 @@ var netFlowNames = func() (a [numOpKinds]string) {
 	return a
 }()
 
-// ioAgg is one op kind's integer stage accounting. The representative
-// node's contributions are folded in at multiplicity inline (integer
-// arithmetic is exact under multiplication); the float Requests
-// accumulator lives in stageState.reqSub instead, per node, so it can
-// be folded in real-node order at stage completion.
+// ioAgg is one op kind's integer stage accounting. The float Requests
+// accumulator lives in stageState.reqSub instead, per node, so it is
+// folded in node-id order at stage completion.
 type ioAgg struct {
 	bytes units.ByteSize
 	ops   int
@@ -133,7 +79,7 @@ type stageState struct {
 	completed bool
 	res       *StageResult
 	groups    []GroupResult
-	remaining int // logical tasks left, counted at full-cluster multiplicity
+	remaining int // logical tasks left
 	// device utilisation snapshots at the stage's barrier; with
 	// concurrent DAG stages the per-stage attribution is approximate
 	// (shared device time counts toward every overlapping stage).
@@ -141,10 +87,10 @@ type stageState struct {
 	// io is the integer I/O accounting; the IOStat map is materialised
 	// from it when the stage completes.
 	io [numOpKinds]ioAgg
-	// reqSub accumulates the float IOStat.Requests increments per
-	// simulated node (row = node.si), folded in real-node-id order at
-	// completion so the per-task and coalesced paths perform the same
-	// float additions in the same order.
+	// reqSub accumulates the float IOStat.Requests increments per node
+	// (row = node.id), folded in node-id order at completion: a fixed
+	// summation order, independent of event interleaving, that the
+	// simulator goldens pin.
 	reqSub [][numOpKinds]float64
 	// med tracks the running median of completed task durations for the
 	// speculation threshold (nil when speculation is off).
@@ -193,14 +139,14 @@ func (st *stageState) removeRunning(a *attempt) {
 
 // taskState is one logical task, possibly executed by several attempts.
 type taskState struct {
-	// placement of the task's initial dispatch (node, group, task
-	// index), read by stageState.dispatchF. Retries, bounces and
-	// speculative copies can queue several dispatches of one task at
-	// once, each with its own placement, so those carry theirs in a
-	// closure instead. The slab holds one entry per task of a stage, so
-	// the fields are packed.
-	nd      *node
-	gi, idx int32
+	// placement of the task's initial dispatch (node, group), read by
+	// stageState.dispatchF; the slab index is the task index. Retries,
+	// bounces and speculative copies can queue several dispatches of one
+	// task at once, each with its own placement, so those carry theirs
+	// in a closure instead. The slab holds one entry per task of a
+	// stage, so the fields are packed.
+	nd *node
+	gi int32
 	// fault bookkeeping: counted failures against the attempt budget,
 	// fetch failures (Spark tracks these separately from task failures),
 	// and the number of attempts currently in flight.
@@ -224,11 +170,7 @@ type attempt struct {
 	gi      int
 	g       TaskGroup
 	taskIdx int
-	// mult is the attempt's full-cluster multiplicity: 1 normally,
-	// the cohort size when this attempt runs on the representative
-	// node of a coalesced run.
-	mult  int
-	start time.Duration
+	start   time.Duration
 	// failAt / fetchFailAt are the op indices at which this attempt is
 	// fated to fail (-1: never). lost marks the attempt killed by its
 	// node's crash; it dies at the next op boundary.
@@ -275,13 +217,7 @@ type runner struct {
 	cfg        cfgDerived
 	app        App
 	eng        *sim.Engine
-	ns         []*node // simulated nodes
-	byReal     []*node // real node id -> simulated node (clean ids map to rep)
-	rep        *node   // cohort representative (nil on the pure per-task path)
-	repReal    int     // the real id the representative impersonates
-	repMult    int     // real nodes the representative stands for
-	partial    bool    // partial (degraded-mode) coalescing active
-	dirtyReal  []bool  // partial mode: real ids simulated individually
+	ns         []*node // indexed by node id
 	res        *Result
 	states     []*stageState
 	done       int
@@ -306,14 +242,9 @@ type runner struct {
 const attemptChunk = 256
 
 // busySums totals the device utilisation seconds across the cluster
-// (iostat's %util integral, not mere occupancy), folding the
-// representative's value once per real node it stands for — the
-// replicated nodes would accumulate bit-identical UtilSeconds, and
-// Duration addition is integer arithmetic, so the fold reproduces the
-// per-task sum exactly.
+// (iostat's %util integral, not mere occupancy).
 func (r *runner) busySums() (hdfs, local time.Duration) {
-	for id := 0; id < r.cfg.Slaves; id++ {
-		n := r.byReal[id]
+	for _, n := range r.ns {
 		hdfs += units.SecDuration(n.hdfs.Stats().UtilSeconds)
 		local += units.SecDuration(n.local.Stats().UtilSeconds)
 	}
@@ -326,44 +257,28 @@ type cfgDerived struct {
 	remoteFrac float64 // fraction of shuffle-read bytes crossing the NIC
 }
 
-func newRunner(cfg ClusterConfig, app App, forcePerTask bool) *runner {
+func newRunner(cfg ClusterConfig, app App) *runner {
 	d := cfgDerived{ClusterConfig: cfg}
 	if cfg.Slaves > 1 {
-		// remoteFrac always reflects the full cluster size, even when
-		// coalescing simulates a representative node.
 		d.remoteFrac = float64(cfg.Slaves-1) / float64(cfg.Slaves)
 	}
-	r := &runner{cfg: d, app: app, repReal: -1, repMult: 1}
-	if !forcePerTask {
-		if coalescable(cfg, app) {
-			r.repReal, r.repMult = 0, cfg.Slaves
-		} else if dirty, dirtyCount, repReal, ok := planPartial(cfg, app); ok {
-			r.partial = true
-			r.dirtyReal = dirty
-			r.repReal = repReal
-			r.repMult = cfg.Slaves - dirtyCount
-		}
-	}
-	simNodes := cfg.Slaves
-	if r.repReal >= 0 {
-		simNodes = cfg.Slaves - r.repMult + 1
-	}
+	r := &runner{cfg: d, app: app}
 	// Pending events peak near one per running task plus a completion
 	// timer per busy device: size the engine by the smaller of the task
 	// slots and the app's task count, plus a timer per node.
-	slots := simNodes * cfg.ExecutorCores
+	slots := cfg.Slaves * cfg.ExecutorCores
 	if n := app.tasks(); n < slots {
 		slots = n
 	}
-	eng := sim.NewEngineSized(slots + simNodes + 16)
+	eng := sim.NewEngineSized(slots + cfg.Slaves + 16)
 	r.eng = eng
-	newNode := func(id int) *node {
+	r.ns = make([]*node, cfg.Slaves)
+	for id := range r.ns {
 		// Resources carry static device names: a per-node name would be
 		// formatted three times per node per run, only ever to appear
 		// in a simulator panic.
 		n := &node{
 			id:    id,
-			si:    len(r.ns),
 			cores: sim.NewCorePool(eng, cfg.ExecutorCores),
 			hdfs:  sim.NewFlowResource(eng, "hdfs"),
 			local: sim.NewFlowResource(eng, "local"),
@@ -371,24 +286,7 @@ func newRunner(cfg ClusterConfig, app App, forcePerTask bool) *runner {
 		if cfg.ModelNetwork {
 			n.nic = sim.NewFlowResource(eng, "nic")
 		}
-		r.ns = append(r.ns, n)
-		return n
-	}
-	r.byReal = make([]*node, cfg.Slaves)
-	switch {
-	case r.repReal < 0: // per-task: every real node simulated
-		for i := 0; i < cfg.Slaves; i++ {
-			r.byReal[i] = newNode(i)
-		}
-	default: // coalesced: one representative plus any dirty nodes
-		r.rep = newNode(r.repReal)
-		for i := 0; i < cfg.Slaves; i++ {
-			if r.partial && r.dirtyReal[i] {
-				r.byReal[i] = newNode(i)
-			} else {
-				r.byReal[i] = r.rep
-			}
-		}
+		r.ns[id] = n
 	}
 	r.finalF = r.finalize
 	r.res = &Result{App: app.Name, Slaves: cfg.Slaves, Cores: cfg.ExecutorCores}
@@ -426,50 +324,10 @@ func buildStates(app App) []*stageState {
 	return states
 }
 
-// coalescable reports whether the run qualifies for full wave
-// coalescing: simulating one representative node in place of
-// cfg.Slaves identical ones and folding its timings and metrics back.
-// That is exact only when every node provably executes the same event
-// sequence, which requires
-//
-//   - no fault injection, speculation, stragglers or compute jitter
-//     (each makes tasks or nodes heterogeneous), and
-//   - every task group's count divisible by the node count, so the
-//     round-robin assignment gives all nodes identical task schedules.
-//
-// Degraded runs that miss only the first condition may still qualify
-// for partial coalescing (see planPartial); anything else falls back
-// to the per-task path automatically. All paths produce byte-identical
-// Results — the registry-wide golden tests in internal/workloads and
-// internal/spark enforce it.
-func coalescable(cfg ClusterConfig, app App) bool {
-	if cfg.DisableCoalescing || cfg.Slaves <= 1 {
-		return false
-	}
-	if cfg.Faults.Enabled() || cfg.Speculation || cfg.StragglerFraction > 0 || cfg.ComputeJitter > 0 {
-		return false
-	}
-	// Heap occupancy couples every task on a node to its co-resident
-	// wave: simulating one representative node would need the exact
-	// cross-node placement to reproduce spill decisions, so
-	// memory-enabled runs always take the per-task path.
-	if cfg.Memory.Enabled() {
-		return false
-	}
-	for _, s := range app.Stages {
-		for _, g := range s.Groups {
-			if g.Count%cfg.Slaves != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func (r *runner) run() (*Result, error) {
 	if f := r.cfg.Faults; f.Enabled() {
 		for _, c := range f.NodeCrashes {
-			nd := r.byReal[c.Node]
+			nd := r.ns[c.Node]
 			r.eng.At(units.SecDuration(c.At.Seconds()), func() { r.crashNode(nd) })
 		}
 	}
@@ -492,12 +350,8 @@ func (r *runner) run() (*Result, error) {
 	// drain a little further (cancelled speculative attempts finishing
 	// their in-flight op before standing down).
 	r.res.Total = r.finishedAt
-	// Fold core-seconds in real-node order: each real node the
-	// representative stands for would report a bit-identical float, so
-	// adding the representative's value once per real id reproduces the
-	// per-task accumulation sequence exactly.
-	for id := 0; id < r.cfg.Slaves; id++ {
-		r.res.CoreSeconds += r.byReal[id].cores.BusyCoreSeconds()
+	for _, n := range r.ns {
+		r.res.CoreSeconds += n.cores.BusyCoreSeconds()
 	}
 	return r.res, nil
 }
@@ -540,9 +394,7 @@ func (r *runner) launchReady() {
 // the finalizer. Completion bookkeeping and speculation decisions run
 // in the engine's late phase, after every normal event at the current
 // instant: both observe the instant's fully settled state, which makes
-// them independent of same-time event interleaving — the property that
-// lets the coalesced paths (fewer events per instant) stay
-// byte-identical to the per-task path.
+// them independent of same-time event interleaving.
 func (r *runner) scheduleFinal(st *stageState) {
 	st.needsFinal = true
 	if r.finalSet {
@@ -553,9 +405,8 @@ func (r *runner) scheduleFinal(st *stageState) {
 }
 
 // finalize is the end-of-instant pass: stages are visited in index
-// order (a canonical order shared by every execution mode), completing
-// those whose last task finished this instant and re-evaluating
-// speculation on the rest.
+// order, completing those whose last task finished this instant and
+// re-evaluating speculation on the rest.
 func (r *runner) finalize() {
 	r.finalSet = false
 	for _, st := range r.states {
@@ -575,11 +426,8 @@ func (r *runner) finalize() {
 }
 
 // completeStage records the finished stage and unlocks its dependents.
-// Integer aggregates were folded inline at multiplicity; the float
-// accumulators (device utilisation, request counts) are folded here in
-// real-node-id order, substituting the representative's row for every
-// clean node — bit-identical to the per-task sums because the clean
-// nodes' event sequences are identical to the representative's.
+// Integer aggregates were summed inline; the float request counts are
+// folded here in node-id order.
 func (r *runner) completeStage(st *stageState) {
 	st.res.End = r.eng.Now()
 	st.res.Groups = st.groups
@@ -592,8 +440,8 @@ func (r *runner) completeStage(st *stageState) {
 			continue
 		}
 		var req float64
-		for id := 0; id < r.cfg.Slaves; id++ {
-			req += st.reqSub[r.byReal[id].si][k]
+		for _, row := range st.reqSub {
+			req += row[k]
 		}
 		st.res.IO[OpKind(k)] = IOStat{Bytes: agg.bytes, Ops: agg.ops, Time: agg.time, Requests: req}
 	}
@@ -641,23 +489,11 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 		}
 		r.eng.After(time.Second, tick)
 	}
-	// Size the logical-task slab: coalesced modes dispatch only the
-	// representative's and the dirty nodes' shares (group divisibility
-	// is guaranteed by eligibility).
-	dispatched := stage.Tasks()
-	if r.rep != nil {
-		per := 0
-		for _, g := range stage.Groups {
-			per += g.Count / r.cfg.Slaves
-		}
-		dispatched = per * len(r.ns) // dirty nodes + the representative
-	}
-	st.tasks = make([]taskState, dispatched)
+	st.tasks = make([]taskState, stage.Tasks())
 	st.dispatchF = func(i int) {
 		t := &st.tasks[i]
-		r.dispatch(st, t, t.nd, int(t.gi), int(t.idx), r.multOf(t.nd), false)
+		r.dispatch(st, t, t.nd, int(t.gi), i, false)
 	}
-	ti := 0
 	taskIdx := 0
 	for gi, g := range stage.Groups {
 		nOps := len(g.Ops)
@@ -672,47 +508,24 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 		for t := 0; t < g.Count; t++ {
 			idx := taskIdx
 			taskIdx++
-			home := idx % r.cfg.Slaves
-			nd := r.byReal[home]
-			if nd == r.rep && home != r.repReal {
-				continue // clean-cohort sibling: folded into the representative
-			}
+			nd := r.ns[idx%r.cfg.Slaves]
 			if r.faultsOn() {
-				target, tid := r.pickHealthy(home, nil)
-				if target == nil {
+				if nd = r.pickHealthy(nd.id, nil); nd == nil {
 					r.failApp(r.noHealthyNodes())
 					return
 				}
-				if r.partial && tid != home {
-					// A diverted launch would land the task off its home
-					// node; only blacklisting or crashes divert, and both
-					// bail before this point — keep the invariant explicit.
-					r.bail()
-				}
-				nd = target
 			}
-			task := &st.tasks[ti]
-			task.nd, task.gi, task.idx = nd, int32(gi), int32(idx)
-			nd.cores.Acquire(st.dispatchF, ti)
-			ti++
+			task := &st.tasks[idx]
+			task.nd, task.gi = nd, int32(gi)
+			nd.cores.Acquire(st.dispatchF, idx)
 		}
 	}
-}
-
-// multOf is the full-cluster multiplicity of a task placed on nd: the
-// cohort size on the representative, 1 on an individually simulated
-// node.
-func (r *runner) multOf(nd *node) int {
-	if nd == r.rep {
-		return r.repMult
-	}
-	return 1
 }
 
 // dispatch runs when a core frees up for a queued task attempt: it
 // re-validates the placement, allocates a pooled attempt, draws the
 // attempt's fates, and begins the op walk.
-func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx, mult int, speculative bool) {
+func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx int, speculative bool) {
 	g := st.stage.Groups[gi]
 	if r.faultsOn() {
 		if task.done || r.err != nil {
@@ -725,27 +538,23 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 			// The node went away while the dispatch queued; bounce the
 			// task to a healthy executor.
 			nd.cores.Release()
-			target, tid := r.pickHealthy(nd.id+1, nil)
+			target := r.pickHealthy(nd.id+1, nil)
 			if target == nil {
 				r.failApp(r.noHealthyNodes())
 				return
 			}
-			if r.partial && !r.dirtyReal[tid] {
-				r.bail()
-			}
-			target.cores.Acquire(func(int) { r.dispatch(st, task, target, gi, taskIdx, mult, speculative) }, 0)
+			target.cores.Acquire(func(int) { r.dispatch(st, task, target, gi, taskIdx, speculative) }, 0)
 			return
 		}
 	}
 	task.attempts++
 	task.inflight++
-	a := r.newAttempt(st, task, nd, gi, g, taskIdx, mult, speculative)
+	a := r.newAttempt(st, task, nd, gi, g, taskIdx, speculative)
 	a.start = r.eng.Now()
 	st.addRunning(a)
 	if r.memOn() {
 		r.reserveMem(st, a)
 	}
-	straggled := false
 	if f := r.cfg.Faults; f.Enabled() {
 		// Decide this attempt's fate up front, deterministically from
 		// (seed, stage, task, attempt). The failure point is uniform over
@@ -774,13 +583,6 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 			slow = 3
 		}
 		a.jitter *= slow
-		straggled = true
-	}
-	if nd == r.rep && (a.failAt >= 0 || a.fetchFailAt >= 0 || straggled) {
-		// The pre-draw plan promised the representative's tasks stay
-		// clean; a live draw disagreeing means the plan is stale — replay
-		// per-task rather than silently diverging.
-		r.bail()
 	}
 
 	// JVM garbage collection pauses are spread through the task's
@@ -806,7 +608,7 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 
 // newAttempt takes an attempt from the free list (or grows the pool in
 // chunks), binding its callback closures exactly once per pooled object.
-func (r *runner) newAttempt(st *stageState, task *taskState, nd *node, gi int, g TaskGroup, taskIdx, mult int, speculative bool) *attempt {
+func (r *runner) newAttempt(st *stageState, task *taskState, nd *node, gi int, g TaskGroup, taskIdx int, speculative bool) *attempt {
 	a := r.freeA
 	if a != nil {
 		r.freeA = a.freeNext
@@ -828,7 +630,7 @@ func (r *runner) newAttempt(st *stageState, task *taskState, nd *node, gi int, g
 		}
 	}
 	a.st, a.task, a.nd = st, task, nd
-	a.gi, a.g, a.taskIdx, a.mult = gi, g, taskIdx, mult
+	a.gi, a.g, a.taskIdx = gi, g, taskIdx
 	a.speculative = speculative
 	a.failAt, a.fetchFailAt = -1, -1
 	a.lost = false
@@ -926,8 +728,8 @@ func (a *attempt) step() {
 func (a *attempt) gcDone() {
 	s := &a.st.groups[a.gi].OpTimes[len(a.g.Ops)]
 	s.Kind = OpCompute
-	s.Time += (a.r.eng.Now() - a.opStart) * time.Duration(a.mult)
-	s.Count += a.mult
+	s.Time += a.r.eng.Now() - a.opStart
+	s.Count++
 	a.endTask()
 }
 
@@ -956,11 +758,11 @@ func (a *attempt) finish() {
 	task.done = true
 	dur := r.eng.Now() - a.start
 	gr := &st.groups[a.gi]
-	gr.TotalTaskTime += dur * time.Duration(a.mult)
+	gr.TotalTaskTime += dur
 	if st.med != nil {
-		st.med.AddN(dur, a.mult)
+		st.med.Add(dur)
 	}
-	st.remaining -= a.mult
+	st.remaining--
 	r.scheduleFinal(st)
 	r.recycle(a)
 }
@@ -985,14 +787,13 @@ func (a *attempt) flowDone() {
 	}
 	r, st, op := a.r, a.st, a.curOp
 	elapsed := r.eng.Now() - a.opStart
-	k := time.Duration(a.mult)
 	s := &st.groups[a.gi].OpTimes[a.i]
 	s.Kind = op.Kind
-	s.Time += elapsed * k
-	s.Bytes += op.Bytes * units.ByteSize(a.mult)
-	s.Coupled += op.CoupledCompute * k
-	s.Count += a.mult
-	r.accountIO(st, a.nd, op, elapsed, a.mult)
+	s.Time += elapsed
+	s.Bytes += op.Bytes
+	s.Coupled += op.CoupledCompute
+	s.Count++
+	r.accountIO(st, a.nd, op, elapsed)
 	a.i++
 	a.step()
 }
@@ -1065,7 +866,7 @@ func (a *attempt) execCurOp() {
 	}
 	res.Start(&a.flow)
 	if r.cfg.ModelNetwork && netBytes > 0 {
-		a.st.res.NetBytes += netBytes * units.ByteSize(a.mult)
+		a.st.res.NetBytes += netBytes
 		a.netFlow = sim.Flow{
 			Name:       netFlowNames[op.Kind],
 			Bytes:      netBytes,
@@ -1111,11 +912,11 @@ func (r *runner) faultsOn() bool { return r.cfg.Faults.Enabled() }
 func (r *runner) memOn() bool { return r.cfg.Memory.Enabled() }
 
 // accountIO updates the stage-level iostat-style aggregation: integers
-// inline at multiplicity, the float request count into the node's
-// per-stage row (folded at completion; see completeStage). A completed
+// inline, the float request count into the node's per-stage row (folded
+// at completion; see completeStage). A completed
 // stage's accounting is frozen — late ops of killed speculative
 // attempts no longer shift it.
-func (r *runner) accountIO(st *stageState, nd *node, op Op, elapsed time.Duration, mult int) {
+func (r *runner) accountIO(st *stageState, nd *node, op Op, elapsed time.Duration) {
 	if !op.Kind.IsIO() || op.Bytes <= 0 || st.completed {
 		return
 	}
@@ -1124,11 +925,11 @@ func (r *runner) accountIO(st *stageState, nd *node, op Op, elapsed time.Duratio
 		bytes *= units.ByteSize(r.cfg.HDFSReplication)
 	}
 	agg := &st.io[op.Kind]
-	agg.time += elapsed * time.Duration(mult)
-	agg.bytes += bytes * units.ByteSize(mult)
-	agg.ops += mult
+	agg.time += elapsed
+	agg.bytes += bytes
+	agg.ops++
 	if rs := op.DefaultReqSize(r.cfg.HDFSBlockSize); rs > 0 {
-		st.reqSub[nd.si][op.Kind] += float64(bytes) / float64(rs)
+		st.reqSub[nd.id][op.Kind] += float64(bytes) / float64(rs)
 	}
 }
 

@@ -1,14 +1,14 @@
 package spark
 
-// Scale benchmarks: the production-size input the ROADMAP aims at
-// (64 nodes × 32 cores, >100k tasks), measured with wave coalescing on
-// and off. The coalesced/pertask pair is what docs/BENCH_simcore.json
-// gates — refreshing the baseline is described in docs/PERF.md.
+// Scale benchmarks: a production-size input (64 nodes × 32 cores,
+// >100k tasks), a mid-size jittered run, the memory layer's spill path
+// and a degraded run at a product shape. docs/BENCH_simcore.json and
+// docs/BENCH_simfault.json gate them — refreshing the baselines is
+// described in docs/PERF.md.
 //
-//	go test -bench BenchmarkSimScale -benchmem ./internal/spark
+//	go test -bench 'BenchmarkSim' -benchmem -run '^$' ./internal/spark
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -55,11 +55,12 @@ const (
 	scaleTasks  = 102_400 // 64 nodes × 32 cores × 50 full waves
 )
 
-func benchSimScale(b *testing.B, disableCoalescing bool) {
+// BenchmarkSimScalePerTask runs the 64×32×102,400 input without jitter:
+// the simulator's throughput on one large, homogeneous application.
+func BenchmarkSimScalePerTask(b *testing.B) {
 	ssd := disk.NewSSD()
 	cfg := DefaultTestbed(scaleSlaves, scaleCores, ssd, ssd)
-	cfg.ComputeJitter = 0 // homogeneous: the coalescing-eligible regime
-	cfg.DisableCoalescing = disableCoalescing
+	cfg.ComputeJitter = 0
 	app := scaleApp(scaleSlaves, scaleCores)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,17 +75,8 @@ func benchSimScale(b *testing.B, disableCoalescing bool) {
 	}
 }
 
-// BenchmarkSimScale is the headline scale benchmark (coalesced path).
-func BenchmarkSimScale(b *testing.B) { benchSimScale(b, false) }
-
-// BenchmarkSimScalePerTask is the same input forced down the per-task
-// path — the pre-optimisation cost, kept runnable so the coalescing
-// speedup stays measurable instead of historical.
-func BenchmarkSimScalePerTask(b *testing.B) { benchSimScale(b, true) }
-
-// BenchmarkSimMedium is a mid-size fallback-path benchmark (jittered,
-// so never coalesced): it tracks the per-task path's own regressions,
-// which the scale benchmark would hide behind coalescing.
+// BenchmarkSimMedium is a mid-size jittered run, the shape of the
+// configs the product builds.
 func BenchmarkSimMedium(b *testing.B) {
 	ssd := disk.NewSSD()
 	cfg := DefaultTestbed(8, 8, ssd, ssd) // default jitter 0.15
@@ -105,36 +97,26 @@ func scaleAppSized(slaves, cores, mapTasks int) App {
 	return app
 }
 
-// faultScaleConfig is the degraded-mode scale input: the production
-// 64×32×100k job with faults, speculation and stragglers all enabled,
-// at rates low enough that most nodes draw no degradation event — the
-// partial-coalescing regime docs/PERF.md describes. The probabilities
-// are per-attempt, so ~2 task failures, ~2 stragglers and a fetch
-// failure or two are expected across the run.
-func faultScaleConfig() (ClusterConfig, App) {
+// BenchmarkSimFaultPerTask prices a degraded run at a product shape:
+// the default testbed (jitter on) at 64 slaves × 4 cores, the cold
+// request stream's mid-range fault spec (task and fetch failures at 1%,
+// 7 failures per task, a 2 s backoff), and speculation with 1%
+// stragglers. It fails unless retries and parent recomputes both
+// happen, so the fault-recovery paths stay priced.
+func BenchmarkSimFaultPerTask(b *testing.B) {
 	ssd := disk.NewSSD()
-	cfg := DefaultTestbed(scaleSlaves, scaleCores, ssd, ssd)
-	cfg.ComputeJitter = 0
-	cfg.Seed = 42
+	cfg := DefaultTestbed(64, 4, ssd, ssd)
 	cfg.Speculation = true
-	cfg.StragglerFraction = 2e-5
+	cfg.StragglerFraction = 0.01
 	cfg.StragglerSlowdown = 3
 	cfg.Faults = FaultConfig{
-		TaskFailureProb:         2e-5,
-		ShuffleFetchFailureProb: 1e-4,
-		RetryBackoff:            0.1,
+		TaskFailureProb:         0.01,
+		ShuffleFetchFailureProb: 0.01,
+		MaxTaskFailures:         7,
+		RetryBackoff:            2,
 		Seed:                    7,
 	}
-	return cfg, scaleApp(scaleSlaves, scaleCores)
-}
-
-// BenchmarkSimFaultScale is the degraded-mode headline benchmark: the
-// docs/BENCH_simfault.json baseline gates it. Faults, speculation and
-// stragglers force the simulator off the fully-symmetric fast path, so
-// this prices the clean-node partial-coalescing + zero-alloc fallback
-// machinery that resilience and chaos campaigns live on.
-func BenchmarkSimFaultScale(b *testing.B) {
-	cfg, app := faultScaleConfig()
+	app := scaleAppSized(64, 4, 6400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -142,34 +124,9 @@ func BenchmarkSimFaultScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Faults.TaskFailures == 0 {
-			b.Fatal("benchmark config must inject at least one task failure")
+		if res.Faults.Retries == 0 || res.Faults.Recomputes == 0 {
+			b.Fatalf("benchmark config must retry and recompute, got %+v", res.Faults)
 		}
-	}
-}
-
-// TestScaleAppCoalesces pins the benchmark's premise: the scale config
-// qualifies for coalescing, and both paths produce identical Results
-// even at the 64×32×100k production size.
-func TestScaleAppCoalesces(t *testing.T) {
-	ssd := disk.NewSSD()
-	cfg := DefaultTestbed(scaleSlaves, scaleCores, ssd, ssd)
-	cfg.ComputeJitter = 0
-	app := scaleApp(scaleSlaves, scaleCores)
-	if !coalescable(cfg, app) {
-		t.Fatal("scale benchmark config must be coalescable")
-	}
-	a, err := Run(cfg, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.DisableCoalescing = true
-	b, err := Run(cfg, app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("paths disagree at production scale:\ncoalesced: %+v\nper-task:  %+v", a, b)
 	}
 }
 
