@@ -39,9 +39,12 @@ type Calibration struct {
 func Calibrate(base spark.ClusterConfig, ssd, hdd disk.Device, build func(spark.ClusterConfig) spark.App) (*Calibration, error) {
 	cal := &Calibration{}
 
+	// The four sample runs share one cluster shape, so they share one
+	// simulator's storage; it is dropped when Calibrate returns.
+	var runner spark.Runner
 	runCfg := func(hdfs, local disk.Device, p int) (*spark.Result, spark.ClusterConfig, error) {
 		cfg := base.WithDisks(hdfs, local).WithCores(p)
-		res, err := spark.Run(cfg, build(cfg))
+		res, err := runner.Run(cfg, build(cfg))
 		return res, cfg, err
 	}
 

@@ -654,6 +654,9 @@ func (s *Server) computeWhatif(req WhatifRequest) ([]byte, error) {
 		return nil, err
 	}
 	var prev float64
+	// Every point has the same slave count, so the simulated points
+	// share one simulator's storage.
+	var runner spark.Runner
 	for p := 1; p <= req.MaxCores; p *= 2 {
 		cfg := base.WithCores(p)
 		point := WhatifPointJSON{Cores: p}
@@ -668,7 +671,7 @@ func (s *Server) computeWhatif(req WhatifRequest) ([]byte, error) {
 				point.Bottlenecks[st.Bottleneck]++
 			}
 		} else {
-			res, err := spark.Run(cfg, wl.Build(cfg))
+			res, err := runner.Run(cfg, wl.Build(cfg))
 			if err != nil {
 				return nil, err
 			}

@@ -40,6 +40,19 @@ func NewCorePool(eng *Engine, capacity int) *CorePool {
 	return &CorePool{eng: eng, capacity: capacity}
 }
 
+// Reset returns the pool to its just-created state with the given
+// capacity, for a new simulation on its engine (after Engine.Reset):
+// no core held, no waiter queued, no busy time. The queue's ring is
+// kept.
+func (p *CorePool) Reset(capacity int) {
+	if capacity <= 0 {
+		panic("sim: core pool needs positive capacity")
+	}
+	clear(p.queue)
+	p.capacity, p.inUse, p.head, p.queued = capacity, 0, 0, 0
+	p.busyCoreSeconds, p.lastChange = 0, 0
+}
+
 // Capacity returns the configured core count.
 func (p *CorePool) Capacity() int { return p.capacity }
 

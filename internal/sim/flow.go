@@ -137,6 +137,19 @@ func NewFlowResource(eng *Engine, name string) *FlowResource {
 	return r
 }
 
+// Reset returns the resource to its just-created state for a new
+// simulation on its engine (after Engine.Reset): no active flows, no
+// pending timer, zeroed statistics. Its storage and Observer are kept.
+func (r *FlowResource) Reset() {
+	clear(r.flows)
+	clear(r.sorted)
+	clear(r.doneScratch)
+	r.flows, r.sorted, r.doneScratch = r.flows[:0], r.sorted[:0], r.doneScratch[:0]
+	r.timer, r.timerSet = Timer{}, false
+	r.lastBusy = 0
+	r.stats = FlowStats{}
+}
+
 // Name returns the resource name.
 func (r *FlowResource) Name() string { return r.name }
 
@@ -208,11 +221,11 @@ func (r *FlowResource) advance() {
 func (r *FlowResource) reallocate() {
 	r.advance()
 	n := len(r.flows)
-	if r.timerSet {
-		r.timer.Cancel()
-		r.timerSet = false
-	}
 	if n == 0 {
+		if r.timerSet {
+			r.timer.Cancel()
+			r.timerSet = false
+		}
 		return
 	}
 
@@ -247,9 +260,14 @@ func (r *FlowResource) reallocate() {
 	}
 	// Round up by one tick: the engine clock has nanosecond resolution,
 	// and undershooting would leave sub-nanosecond residues that can
-	// never drain (advance() would see dt = 0 forever).
-	r.timer = r.eng.After(units.SecDuration(minT)+time.Nanosecond, r.finishF)
-	r.timerSet = true
+	// never drain (advance() would see dt = 0 forever). A pending timer
+	// is re-armed in place; it takes a fresh sequence number, so the
+	// firing order is the one cancel-then-schedule would give.
+	at := r.eng.Now() + units.SecDuration(minT) + time.Nanosecond
+	if !r.timerSet || !r.timer.Reset(at) {
+		r.timer = r.eng.At(at, r.finishF)
+		r.timerSet = true
+	}
 }
 
 // insertSorted places a newly started flow into the demand order:

@@ -17,15 +17,17 @@ type medianTracker struct {
 	n  int
 }
 
-// newMedianTracker pre-sizes both heaps for roughly hint total values.
-func newMedianTracker(hint int) *medianTracker {
+// reset empties the tracker for roughly hint values, keeping the heaps'
+// storage when it is large enough.
+func (m *medianTracker) reset(hint int) {
 	if hint < 0 {
 		hint = 0
 	}
-	return &medianTracker{
-		lo: make([]time.Duration, 0, hint/2+1),
-		hi: make([]time.Duration, 0, hint/2+1),
+	if k := hint/2 + 1; cap(m.lo) < k || cap(m.hi) < k {
+		m.lo = make([]time.Duration, 0, k)
+		m.hi = make([]time.Duration, 0, k)
 	}
+	m.lo, m.hi, m.n = m.lo[:0], m.hi[:0], 0
 }
 
 // Len returns the number of recorded durations.

@@ -44,7 +44,7 @@ func TestMedianTrackerMatchesOracle(t *testing.T) {
 	}
 	for name, gen := range shapes {
 		t.Run(name, func(t *testing.T) {
-			m := newMedianTracker(0)
+			m := new(medianTracker)
 			var o oracleMedian
 			if got := m.Median(); got != 0 {
 				t.Fatalf("empty tracker Median() = %v, want 0", got)

@@ -239,7 +239,8 @@ func TestMemReleasedOnAllExits(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(cfg, app)
+	r := newRunner(cfg)
+	r.reset(cfg, app)
 	// The aggressive failure rate may abort the app; the reservation
 	// invariant must hold either way (aborted runs drain their
 	// in-flight attempts through the r.err path).

@@ -38,6 +38,11 @@ type simDigest struct {
 func digestRun(t *testing.T, cfg spark.ClusterConfig, app spark.App) simDigest {
 	t.Helper()
 	res, err := spark.Run(cfg, app)
+	return digestOf(t, res, err)
+}
+
+func digestOf(t *testing.T, res *spark.Result, err error) simDigest {
+	t.Helper()
 	var d simDigest
 	var buf []byte
 	var jerr error
@@ -169,24 +174,29 @@ type shape struct {
 	hdfs, local   disk.Device
 }
 
-// TestCoalescingGoldenRegistry pins every registered workload on
-// jitter-free clusters, where the task counts divide the node count at
-// many stages (4 and 8 slaves) and where they mostly do not (3).
-func TestCoalescingGoldenRegistry(t *testing.T) {
+// registryShapes are the jitter-free clusters of the registry section:
+// task counts divide the node count at many stages (4 and 8 slaves) or
+// mostly do not (3).
+func registryShapes() []shape {
 	hdd, ssd := disk.NewHDD(), disk.NewSSD()
-	shapes := []shape{
+	return []shape{
 		{"4xSSD", 4, 8, ssd, ssd},
 		{"4xHDD", 4, 8, hdd, hdd},
 		{"8xHybrid", 8, 4, ssd, hdd},
 		{"3xSSD", 3, 8, ssd, ssd},
 	}
+}
+
+// TestCoalescingGoldenRegistry pins every registered workload on
+// registryShapes.
+func TestCoalescingGoldenRegistry(t *testing.T) {
 	g := loadSimGolden(t, "registry")
 	for _, name := range Names() {
 		w, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range shapes {
+		for _, sh := range registryShapes() {
 			t.Run(name+"/"+sh.name, func(t *testing.T) {
 				cfg := homogeneousConfig(sh.slaves, sh.cores, sh.hdfs, sh.local)
 				g.check(t, cfg, w.Build(cfg))
@@ -200,7 +210,6 @@ func TestCoalescingGoldenRegistry(t *testing.T) {
 // the default testbed, compute jitter on — the shape of every config
 // the product builds.
 func TestCoalescingGoldenJitterFallback(t *testing.T) {
-	ssd := disk.NewSSD()
 	g := loadSimGolden(t, "jitter")
 	for _, name := range Names() {
 		w, err := Get(name)
@@ -208,11 +217,18 @@ func TestCoalescingGoldenJitterFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := spark.DefaultTestbed(4, 8, ssd, ssd) // jitter 0.15 default
+			cfg := jitterConfig()
 			g.check(t, cfg, w.Build(cfg))
 		})
 	}
 	g.finish(t)
+}
+
+// jitterConfig is the jitter section's cluster: the default testbed,
+// compute jitter 0.15.
+func jitterConfig() spark.ClusterConfig {
+	ssd := disk.NewSSD()
+	return spark.DefaultTestbed(4, 8, ssd, ssd)
 }
 
 // faultProfiles are representative degraded configurations applied on
@@ -240,23 +256,27 @@ func faultProfiles() map[string]func(cfg *spark.ClusterConfig) {
 	}
 }
 
-// TestFaultyCoalescingGoldenRegistry pins every registered workload
-// under every fault profile, on divisible (8, 4 slaves) and odd (3)
-// node counts.
-func TestFaultyCoalescingGoldenRegistry(t *testing.T) {
+// faultyShapes are the faulty section's clusters: divisible (8, 4
+// slaves) and odd (3) node counts.
+func faultyShapes() []shape {
 	hdd, ssd := disk.NewHDD(), disk.NewSSD()
-	shapes := []shape{
+	return []shape{
 		{"8xSSD", 8, 4, ssd, ssd},
 		{"4xHDD", 4, 8, hdd, hdd},
 		{"3xSSD", 3, 8, ssd, ssd},
 	}
+}
+
+// TestFaultyCoalescingGoldenRegistry pins every registered workload
+// under every fault profile on faultyShapes.
+func TestFaultyCoalescingGoldenRegistry(t *testing.T) {
 	g := loadSimGolden(t, "faulty")
 	for _, name := range Names() {
 		w, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range shapes {
+		for _, sh := range faultyShapes() {
 			for prof, apply := range faultProfiles() {
 				t.Run(name+"/"+sh.name+"/"+prof, func(t *testing.T) {
 					cfg := homogeneousConfig(sh.slaves, sh.cores, sh.hdfs, sh.local)
