@@ -54,23 +54,37 @@ func (r *runner) memGate(nd *node, f func()) bool {
 
 // execSpill runs one spill write or re-read for an attempt's overflow
 // through the regular device path, so the Local curve's request-size
-// behavior (and iostat accounting) applies to spill traffic too.
-func (r *runner) execSpill(st *stageState, a *attempt, kind OpKind, done func()) {
-	op := Op{Kind: kind, Bytes: a.spill, ReqSize: r.cfg.Memory.SpillRequestSize()}
-	nd := a.nd
-	opStart := r.eng.Now()
-	r.execOp(st, nd, op, func() {
-		r.accountIO(st, nd, op, r.eng.Now()-opStart)
-		done()
-	})
+// behavior (and iostat accounting) applies to spill traffic too. The
+// spill op takes the attempt's curOp and opStart, which are free: a
+// write runs before the first op and a re-read after the last.
+func (r *runner) execSpill(a *attempt, kind OpKind) {
+	a.curOp = Op{Kind: kind, Bytes: a.spill, ReqSize: r.cfg.Memory.SpillRequestSize()}
+	a.opStart = r.eng.Now()
+	a.pending = r.startOp(a.st, a.nd, a.curOp, &a.flow, &a.netFlow, a.spillDoneF)
+}
+
+// spillDone accounts a completed spill op, then begins the op walk
+// after a write or charges the GC pause after a re-read.
+func (a *attempt) spillDone() {
+	a.pending--
+	if a.pending > 0 {
+		return
+	}
+	r := a.r
+	r.accountIO(a.st, a.nd, a.curOp, r.eng.Now()-a.opStart)
+	if a.curOp.Kind == OpSpillWrite {
+		a.step()
+		return
+	}
+	a.memGC()
 }
 
 // memEpilogue runs between an attempt's last op and finish: the spill
 // re-read (the overflow must come back from the Local device to emit
 // the task's output), then the occupancy-driven GC pause (memGC).
-func (r *runner) memEpilogue(st *stageState, a *attempt) {
+func (r *runner) memEpilogue(a *attempt) {
 	if a.spill > 0 && !a.task.done {
-		r.execSpill(st, a, OpSpillRead, a.memGCF)
+		r.execSpill(a, OpSpillRead)
 		return
 	}
 	a.memGC()

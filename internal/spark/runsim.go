@@ -260,12 +260,12 @@ type attempt struct {
 	// grows to the run's peak task concurrency, so only the two every
 	// task walk uses are bound up front: the memory layer's three when
 	// it is on, gcDoneF on first use.
-	launchF   func()
-	flowDoneF func()
-	gcDoneF   func()
-	stepF     func()
-	finishF   func()
-	memGCF    func()
+	launchF    func()
+	flowDoneF  func()
+	gcDoneF    func()
+	stepF      func()
+	finishF    func()
+	spillDoneF func()
 }
 
 type runner struct {
@@ -735,7 +735,7 @@ func (r *runner) newAttempt(st *stageState, task *taskState, nd *node, gi int, g
 		// A pooled attempt may come from a run without the memory layer.
 		a.stepF = a.step
 		a.finishF = a.finish
-		a.memGCF = a.memGC
+		a.spillDoneF = a.spillDone
 	}
 	a.st, a.task, a.nd = st, task, nd
 	a.gi, a.g, a.taskIdx = gi, g, taskIdx
@@ -761,7 +761,7 @@ func (r *runner) recycle(a *attempt) {
 // by the up-front spill write when the memory layer charged one).
 func (a *attempt) launch() {
 	if a.spill > 0 {
-		a.r.execSpill(a.st, a, OpSpillWrite, a.stepF)
+		a.r.execSpill(a, OpSpillWrite)
 		return
 	}
 	a.step()
@@ -846,7 +846,7 @@ func (a *attempt) gcDone() {
 // the spill re-read and the occupancy-driven GC pause run first.
 func (a *attempt) endTask() {
 	if a.r.memOn() {
-		a.r.memEpilogue(a.st, a)
+		a.r.memEpilogue(a)
 		return
 	}
 	a.finish()
@@ -906,24 +906,26 @@ func (a *attempt) flowDone() {
 	a.step()
 }
 
-// execCurOp performs a.curOp allocation-free, reusing the attempt's
-// embedded flow pair. The rare recovery paths (spill, parent
-// recompute) use the generic execOp instead.
+// execCurOp performs a.curOp allocation-free on the attempt's embedded
+// flow pair.
 func (a *attempt) execCurOp() {
-	r, op, nd := a.r, a.curOp, a.nd
+	a.pending = a.r.startOp(a.st, a.nd, a.curOp, &a.flow, &a.netFlow, a.flowDoneF)
+}
+
+// startOp starts op on nd and returns how many times done will fire: a
+// compute op arms one timer; an I/O op starts a disk flow in flow and,
+// for network-crossing bytes on a modelled network, a NIC flow in
+// netFlow. done never fires before startOp returns. This is the one
+// implementation of an op's physics: device choice, bandwidth at the
+// request size, HDFS replication and the remote shuffle fraction.
+func (r *runner) startOp(st *stageState, nd *node, op Op, flow, netFlow *sim.Flow, done func()) int {
 	if op.Kind == OpCompute {
-		d := op.Duration
-		if d < 0 {
-			d = 0
-		}
-		a.pending = 1
-		r.eng.After(d, a.flowDoneF)
-		return
+		r.eng.After(max(op.Duration, 0), done)
+		return 1
 	}
 	if op.Bytes <= 0 {
-		a.pending = 1
-		r.eng.After(0, a.flowDoneF)
-		return
+		r.eng.After(0, done)
+		return 1
 	}
 
 	reqSize := op.DefaultReqSize(r.cfg.HDFSBlockSize)
@@ -956,34 +958,32 @@ func (a *attempt) execCurOp() {
 		netBytes = units.ByteSize(float64(op.Bytes) * r.cfg.remoteFrac)
 	}
 
-	a.pending = 1
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		a.pending = 2
-	}
 	var computeRate units.Rate
 	if op.CoupledCompute > 0 {
 		computeRate = units.Over(diskBytes, op.CoupledCompute)
 	}
-	a.flow = sim.Flow{
+	*flow = sim.Flow{
 		Name:        op.Kind.String(),
 		Bytes:       diskBytes,
 		FullRate:    full,
 		Cap:         op.StreamLimit,
 		ComputeRate: computeRate,
-		OnComplete:  a.flowDoneF,
+		OnComplete:  done,
 	}
-	res.Start(&a.flow)
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		a.st.res.NetBytes += netBytes
-		a.netFlow = sim.Flow{
-			Name:       netFlowNames[op.Kind],
-			Bytes:      netBytes,
-			FullRate:   r.cfg.NICRate,
-			Cap:        op.StreamLimit,
-			OnComplete: a.flowDoneF,
-		}
-		nd.nic.Start(&a.netFlow)
+	res.Start(flow)
+	if !r.cfg.ModelNetwork || netBytes <= 0 {
+		return 1
 	}
+	st.res.NetBytes += netBytes
+	*netFlow = sim.Flow{
+		Name:       netFlowNames[op.Kind],
+		Bytes:      netBytes,
+		FullRate:   r.cfg.NICRate,
+		Cap:        op.StreamLimit,
+		OnComplete: done,
+	}
+	nd.nic.Start(netFlow)
+	return 2
 }
 
 // jitterFactor returns the deterministic per-task compute-time multiplier
@@ -1041,86 +1041,16 @@ func (r *runner) accountIO(st *stageState, nd *node, op Op, elapsed time.Duratio
 	}
 }
 
-// execOp performs one op and calls done when it completes. This is the
-// generic (allocating) form used by the recovery paths — spill traffic
-// and parent recomputes; the hot per-task walk uses execCurOp.
+// execOp performs one op and calls done when it completes, on flows of
+// its own: the allocating form of startOp, for parent recomputes.
 func (r *runner) execOp(st *stageState, nd *node, op Op, done func()) {
-	switch op.Kind {
-	case OpCompute:
-		d := op.Duration
-		if d < 0 {
-			d = 0
-		}
-		r.eng.After(d, func() { done() })
-		return
-	default:
-	}
-
-	if op.Bytes <= 0 {
-		r.eng.After(0, done)
-		return
-	}
-
-	reqSize := op.DefaultReqSize(r.cfg.HDFSBlockSize)
-	var res *sim.FlowResource
-	var full units.Rate
-	diskBytes := op.Bytes
-	var netBytes units.ByteSize
-
-	dev := r.cfg.HDFSDisk
-	if op.Kind.OnLocal() {
-		dev = r.cfg.LocalDisk
-	}
-	if op.Kind.IsRead() {
-		full = dev.ReadBandwidth(reqSize)
-	} else {
-		full = dev.WriteBandwidth(reqSize)
-	}
-	if op.Kind.OnLocal() {
-		res = nd.local
-	} else {
-		res = nd.hdfs
-	}
-
-	switch op.Kind {
-	case OpHDFSWrite:
-		diskBytes = op.Bytes * units.ByteSize(r.cfg.HDFSReplication)
-		netBytes = op.Bytes * units.ByteSize(r.cfg.HDFSReplication-1)
-	case OpShuffleRead:
-		netBytes = units.ByteSize(float64(op.Bytes) * r.cfg.remoteFrac)
-	}
-
-	pending := 1
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		pending = 2
-	}
-	complete := func() {
-		pending--
-		if pending == 0 {
+	o := new(struct {
+		flows   [2]sim.Flow
+		pending int
+	})
+	o.pending = r.startOp(st, nd, op, &o.flows[0], &o.flows[1], func() {
+		if o.pending--; o.pending == 0 {
 			done()
 		}
-	}
-
-	var computeRate units.Rate
-	if op.CoupledCompute > 0 {
-		computeRate = units.Over(diskBytes, op.CoupledCompute)
-	}
-	res.Start(&sim.Flow{
-		Name:        op.Kind.String(),
-		Bytes:       diskBytes,
-		FullRate:    full,
-		Cap:         op.StreamLimit,
-		ComputeRate: computeRate,
-		OnComplete:  complete,
 	})
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		st.res.NetBytes += netBytes
-		nd.nic.Start(&sim.Flow{
-			Name:       netFlowNames[op.Kind],
-			Bytes:      netBytes,
-			FullRate:   r.cfg.NICRate,
-			Cap:        op.StreamLimit,
-			OnComplete: complete,
-		})
-	}
 }
