@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/cloud"
@@ -168,15 +169,19 @@ func Run(ctx context.Context, cfg Config, opts RunOptions) (Summary, error) {
 	if parallel <= 0 {
 		parallel = cfg.Parallel
 	}
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
 	timeout := opts.PointTimeout
 	if timeout <= 0 {
 		timeout = time.Duration(cfg.PointTimeout)
 	}
 
+	runners := make(runnerPool, parallel)
 	eval := func(pctx context.Context, p Point) (PointResult, error) {
 		opts.Progress.pointStarted()
 		defer opts.Progress.pointFinished()
-		return EvaluatePoint(pctx, cfg, p)
+		return runners.evaluate(pctx, cfg, p)
 	}
 	sink := func(_ int, o sweep.Outcome[Point, PointResult]) error {
 		if o.Err != nil && isEnvironmental(o.Err) {
@@ -236,11 +241,42 @@ func isEnvironmental(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// runnerPool keeps one simulator per campaign worker for the duration
+// of a Run: consecutive points share a cluster shape, so a Runner
+// reuses the previous point's storage. Its capacity is the worker
+// count.
+type runnerPool chan *spark.Runner
+
+// evaluate runs EvaluatePoint on a pooled Runner. It takes the Runner
+// and gives it back without blocking, so a point that outlives its
+// timeout keeps running with its Runner, and no other point gets that
+// Runner until the point returns.
+func (rp runnerPool) evaluate(ctx context.Context, cfg Config, p Point) (PointResult, error) {
+	var rn *spark.Runner
+	select {
+	case rn = <-rp:
+	default:
+		rn = new(spark.Runner)
+	}
+	res, err := evaluatePoint(ctx, cfg, p, rn)
+	select {
+	case rp <- rn:
+	default:
+	}
+	return res, err
+}
+
 // EvaluatePoint runs one point: build the workload on the point's
 // cluster shape, apply the data-scale factor, simulate, and (in
 // ModeModel) predict with the workload's calibrated model. The result
 // is a deterministic function of (cfg, p).
 func EvaluatePoint(ctx context.Context, cfg Config, p Point) (PointResult, error) {
+	return evaluatePoint(ctx, cfg, p, new(spark.Runner))
+}
+
+// evaluatePoint is EvaluatePoint simulating on rn, which the caller
+// owns for the duration of the call.
+func evaluatePoint(ctx context.Context, cfg Config, p Point, rn *spark.Runner) (PointResult, error) {
 	w, err := workloads.Get(p.Workload)
 	if err != nil {
 		return PointResult{}, err
@@ -265,7 +301,7 @@ func EvaluatePoint(ctx context.Context, cfg Config, p Point) (PointResult, error
 		return PointResult{}, err
 	}
 	sapp := scaleApp(w.Build(ccfg), p.DataScale)
-	res, err := spark.Run(ccfg, sapp)
+	res, err := rn.Run(ccfg, sapp)
 	if err != nil {
 		return PointResult{}, err
 	}
