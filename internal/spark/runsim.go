@@ -439,11 +439,9 @@ func (r *runner) run() (*Result, error) {
 	}
 	// The application ends when its last stage completes; the engine may
 	// drain a little further (cancelled speculative attempts finishing
-	// their in-flight op before standing down).
+	// their in-flight op before standing down), so completeStage took
+	// the core integral then.
 	r.res.Total = r.finishedAt
-	for _, n := range r.ns {
-		r.res.CoreSeconds += n.cores.BusyCoreSeconds()
-	}
 	return r.res, nil
 }
 
@@ -545,6 +543,13 @@ func (r *runner) completeStage(st *stageState) {
 	r.done++
 	if st.res.End > r.finishedAt {
 		r.finishedAt = st.res.End
+	}
+	if r.done == len(r.states) {
+		// The application ends now: bill the cores held up to this
+		// instant, not the speculative losers that drain after it.
+		for _, n := range r.ns {
+			r.res.CoreSeconds += n.cores.BusyCoreSeconds()
+		}
 	}
 	r.res.Stages = append(r.res.Stages, st.res)
 	r.launchReady()
