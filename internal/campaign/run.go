@@ -244,7 +244,8 @@ func isEnvironmental(err error) bool {
 // runnerPool keeps one simulator per campaign worker for the duration
 // of a Run: consecutive points share a cluster shape, so a Runner
 // reuses the previous point's storage. Its capacity is the worker
-// count.
+// count, one Runner each; a timed-out point that returns its Runner to
+// a full pool drops it.
 type runnerPool chan *spark.Runner
 
 // evaluate runs EvaluatePoint on a pooled Runner. It takes the Runner

@@ -56,20 +56,17 @@ func (r *runner) memGate(nd *node, f func()) bool {
 // through the regular device path, so the Local curve's request-size
 // behavior (and iostat accounting) applies to spill traffic too. The
 // spill op takes the attempt's curOp and opStart, which are free: a
-// write runs before the first op and a re-read after the last.
+// write runs before the first op and a re-read after the last. A spill
+// op is one flow on the Local device, so spillDoneF fires once.
 func (r *runner) execSpill(a *attempt, kind OpKind) {
 	a.curOp = Op{Kind: kind, Bytes: a.spill, ReqSize: r.cfg.Memory.SpillRequestSize()}
 	a.opStart = r.eng.Now()
-	a.pending = r.startOp(a.st, a.nd, a.curOp, &a.flow, &a.netFlow, a.spillDoneF)
+	r.startOp(a.st, a.nd, a.curOp, &a.flow, &a.netFlow, a.spillDoneF)
 }
 
 // spillDone accounts a completed spill op, then begins the op walk
 // after a write or charges the GC pause after a re-read.
 func (a *attempt) spillDone() {
-	a.pending--
-	if a.pending > 0 {
-		return
-	}
 	r := a.r
 	r.accountIO(a.st, a.nd, a.curOp, r.eng.Now()-a.opStart)
 	if a.curOp.Kind == OpSpillWrite {
