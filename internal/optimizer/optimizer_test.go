@@ -17,7 +17,14 @@ import (
 // 4).
 func calibrateOnCloud(t *testing.T) core.AppModel {
 	t.Helper()
-	w, err := workloads.Get("gatk4")
+	return calibrateWorkloadOnCloud(t, "gatk4")
+}
+
+// calibrateWorkloadOnCloud is calibrateOnCloud for any registered
+// workload: the calibration serve's recommend endpoint runs.
+func calibrateWorkloadOnCloud(t *testing.T, name string) core.AppModel {
+	t.Helper()
+	w, err := workloads.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,6 +267,26 @@ func TestRecommendRoute(t *testing.T) {
 	}
 }
 
+// TestRecommendGolden pins recommend responses byte for byte: one
+// request with a heap axis and a binding deadline (the pruned,
+// memory-aware search) and one with neither (the full grid).
+func TestRecommendGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid search over the full cloud space")
+	}
+	s := newTestServer(t, nil)
+	for _, tc := range []struct{ name, body string }{
+		{"recommend_sql_heap_deadline", `{"workload":"sql","slaves":10,"top":5,"deadline_minutes":4,"heap_gbs":[0.5,2,7.5,32]}`},
+		{"recommend_lr_small", `{"workload":"lr-small","slaves":3,"top":3}`},
+	} {
+		rec := post(t, s.Handler(), "/api/v1/recommend", tc.body)
+		if rec.Code != 200 {
+			t.Fatalf("%s: status = %d: %s", tc.name, rec.Code, rec.Body)
+		}
+		checkGolden(t, tc.name, rec.Body.Bytes())
+	}
+}
+
 // TestRecommendDeadline exercises the pruned search path: a deadline at
 // the best candidate's own runtime keeps at least one feasible
 // configuration while pruning part of the space, every returned
