@@ -161,13 +161,18 @@ func (m MemParams) resolve(c Curves) (memEnv, bool) {
 // expansion factor times the per-task I/O volume, the same rule as
 // spark.MemoryConfig.TaskWorkingSet.
 func (me memEnv) groupWS(g GroupModel) float64 {
+	return me.expansion * float64(g.ioBytes())
+}
+
+// ioBytes is the group's per-task I/O volume.
+func (g GroupModel) ioBytes() units.ByteSize {
 	var io units.ByteSize
 	for _, op := range g.Ops {
 		if op.Kind.IsIO() {
 			io += op.BytesPerTask
 		}
 	}
-	return me.expansion * float64(io)
+	return io
 }
 
 // groupTerms returns one group's contribution to the two t_mem_limit
