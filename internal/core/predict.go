@@ -133,7 +133,12 @@ func opVolume(op OpModel, pl Platform) units.ByteSize {
 // bytes/min(T, BW(reqSize)), plus the interleaved compute when the op
 // has a coupled rate (harmonic composition).
 func perTaskIOTime(op OpModel, pl Platform, mode Mode) time.Duration {
-	bw := effBW(op, pl, mode)
+	return ioTimeAt(op, pl, effBW(op, pl, mode))
+}
+
+// ioTimeAt is perTaskIOTime at the op's already-resolved effective
+// bandwidth.
+func ioTimeAt(op OpModel, pl Platform, bw units.Rate) time.Duration {
 	rate := float64(bw)
 	if op.T > 0 && float64(op.T) < rate {
 		rate = float64(op.T)

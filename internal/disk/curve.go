@@ -23,6 +23,15 @@ type CurvePoint struct {
 // the end points.
 type Curve struct {
 	points []CurvePoint // sorted by ReqSize, strictly increasing
+	// logs holds each point's log request size and log bandwidth, the
+	// interpolation's end-point terms, computed once instead of at every
+	// Lookup (math.Log is deterministic, so the results are the same).
+	logs []logPoint
+}
+
+// logPoint is a CurvePoint in log space.
+type logPoint struct {
+	size, bw float64
 }
 
 // NewCurve builds a curve from samples. Samples are sorted; duplicate
@@ -45,7 +54,11 @@ func NewCurve(points []CurvePoint) (*Curve, error) {
 			return nil, fmt.Errorf("disk: duplicate request size %v", p.ReqSize)
 		}
 	}
-	return &Curve{points: ps}, nil
+	logs := make([]logPoint, len(ps))
+	for i, p := range ps {
+		logs[i] = logPoint{size: math.Log(float64(p.ReqSize)), bw: math.Log(float64(p.Bandwidth))}
+	}
+	return &Curve{points: ps, logs: logs}, nil
 }
 
 // MustCurve is NewCurve for static tables; it panics on error.
@@ -82,11 +95,10 @@ func (c *Curve) Lookup(reqSize units.ByteSize) units.Rate {
 	if ps[i].ReqSize == reqSize {
 		return ps[i].Bandwidth
 	}
-	lo, hi := ps[i-1], ps[i]
+	lo, hi := c.logs[i-1], c.logs[i]
 	// log-linear: interpolate log(BW) against log(size).
-	x := (math.Log(float64(reqSize)) - math.Log(float64(lo.ReqSize))) /
-		(math.Log(float64(hi.ReqSize)) - math.Log(float64(lo.ReqSize)))
-	lb := math.Log(float64(lo.Bandwidth)) + x*(math.Log(float64(hi.Bandwidth))-math.Log(float64(lo.Bandwidth)))
+	x := (math.Log(float64(reqSize)) - lo.size) / (hi.size - lo.size)
+	lb := lo.bw + x*(hi.bw-lo.bw)
 	return units.Rate(math.Exp(lb))
 }
 
