@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/units"
 )
 
@@ -28,6 +29,19 @@ func keyOf(spec cloud.ClusterSpec) deviceKey {
 	return deviceKey{spec.HDFSType, spec.HDFSSize, spec.LocalType, spec.LocalSize, spec.HeapGB}
 }
 
+// diskKey identifies one provisioned virtual disk. Its bandwidth
+// curves are a pure function of it: the paper's one-time disk
+// profiling (Section VI-1).
+type diskKey struct {
+	diskType cloud.DiskType
+	size     units.ByteSize
+}
+
+// diskCurves are one disk's profiled read and write curves.
+type diskCurves struct {
+	read, write *disk.Curve
+}
+
 // compiledEntry is one environment's lazily-compiled model. The
 // sync.Once gives singleflight semantics: concurrent evaluations of
 // the same device combination compile once.
@@ -38,18 +52,23 @@ type compiledEntry struct {
 }
 
 // CompiledEvaluator evaluates cluster specs through the compiled
-// analytical fast path: the first spec seen per device combination
-// profiles the virtual disks and compiles the model (exactly what the
-// per-point path used to re-derive on every call); every later
-// evaluation against those devices is a handful of floating-point
-// operations per stage, allocation-free via EvaluateBatch. Safe for
-// concurrent use.
+// analytical fast path. Each disk is profiled once, the first time a
+// spec provisions it; each device pair is compiled once, memory-free,
+// and each heap on that pair is derived from that compile with
+// core.CompiledModel.WithMemory. Every later evaluation against those
+// devices is a handful of floating-point operations per stage,
+// allocation-free via EvaluateBatch. Safe for concurrent use.
 //
 // Results are byte-identical to the per-point path
 // (AppModel.Predict on core.PlatformFor(spec.ClusterConfig())).
 type CompiledEvaluator struct {
-	model   core.AppModel
-	entries sync.Map // deviceKey -> *compiledEntry
+	model core.AppModel
+	// mu guards the maps; compilation itself runs outside it, under
+	// the entry's Once.
+	mu      sync.Mutex
+	disks   map[diskKey]diskCurves
+	mems    map[float64]core.MemParams // by HeapGB
+	entries map[deviceKey]*compiledEntry
 }
 
 // ModelEvaluator builds the evaluator the Section VI searches run on:
@@ -58,25 +77,87 @@ type CompiledEvaluator struct {
 // feasible — GridSearch and PrunedSearch recognise the batch interface
 // and stream whole subspaces through it.
 func ModelEvaluator(model core.AppModel) *CompiledEvaluator {
-	return &CompiledEvaluator{model: model}
+	return &CompiledEvaluator{
+		model:   model,
+		disks:   make(map[diskKey]diskCurves),
+		mems:    make(map[float64]core.MemParams),
+		entries: make(map[deviceKey]*compiledEntry),
+	}
+}
+
+// entry returns the environment's cache slot, creating it on first
+// use.
+func (e *CompiledEvaluator) entry(k deviceKey) *compiledEntry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent := e.entries[k]
+	if ent == nil {
+		ent = new(compiledEntry)
+		e.entries[k] = ent
+	}
+	return ent
+}
+
+// curves returns the disk's profiled curves, profiling on first use.
+func (e *CompiledEvaluator) curves(t cloud.DiskType, size units.ByteSize) diskCurves {
+	k := diskKey{t, size}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	c, ok := e.disks[k]
+	if !ok {
+		d := cloud.NewDisk(t, size)
+		c = diskCurves{read: disk.ProfileRead(d, nil), write: disk.ProfileWrite(d, nil)}
+		e.disks[k] = c
+	}
+	return c
+}
+
+// memParams returns the memory parameters of the spec's heap, derived
+// once per heap size: they depend on nothing else in the spec.
+func (e *CompiledEvaluator) memParams(spec cloud.ClusterSpec) core.MemParams {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m, ok := e.mems[spec.HeapGB]
+	if !ok {
+		m = core.MemParamsFor(spec.ClusterConfig())
+		e.mems[spec.HeapGB] = m
+	}
+	return m
 }
 
 // compiled returns the environment's compiled model, compiling on
 // first use.
 func (e *CompiledEvaluator) compiled(spec cloud.ClusterSpec) (*core.CompiledModel, error) {
 	k := keyOf(spec)
-	v, ok := e.entries.Load(k)
-	if !ok {
-		v, _ = e.entries.LoadOrStore(k, &compiledEntry{})
-	}
-	ent := v.(*compiledEntry)
+	ent := e.entry(k)
 	ent.once.Do(func() {
-		// The spec's shape feeds ClusterConfig only to satisfy the
-		// constructor; DefaultTestbed's software settings (replication,
-		// block size) do not depend on it, so the compiled environment is
-		// shared across every shape on these devices.
+		if k.heapGB != 0 {
+			// A heap changes only the t_mem_limit parameters: derive it
+			// from the device pair's memory-free compile.
+			free := spec
+			free.HeapGB = 0
+			cm, err := e.compiled(free)
+			if err != nil {
+				ent.err = err
+				return
+			}
+			ent.cm, ent.err = cm.WithMemory(e.memParams(spec))
+			return
+		}
+		// The environment core.EnvOf(core.PlatformFor(cfg)) builds, from
+		// the memoised curves. The spec's shape feeds ClusterConfig only
+		// to satisfy the constructor; DefaultTestbed's software settings
+		// (replication, block size) do not depend on it, so the compiled
+		// environment is shared across every shape on these devices.
 		cfg := spec.ClusterConfig()
-		ent.cm, ent.err = core.Compile(e.model, core.EnvOf(core.PlatformFor(cfg)), core.ModeDoppio)
+		h := e.curves(spec.HDFSType, spec.HDFSSize)
+		l := e.curves(spec.LocalType, spec.LocalSize)
+		env := core.Env{
+			Curves:      core.Curves{HDFSRead: h.read, HDFSWrite: h.write, LocalRead: l.read, LocalWrite: l.write},
+			Replication: cfg.HDFSReplication,
+			BlockSize:   cfg.HDFSBlockSize,
+		}
+		ent.cm, ent.err = core.Compile(e.model, env, core.ModeDoppio)
 	})
 	return ent.cm, ent.err
 }
