@@ -7,7 +7,6 @@ package optimizer
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -184,10 +183,6 @@ func cmpOrd[T int | float64 | time.Duration | units.ByteSize | string](a, b T) i
 	}
 }
 
-func sortCandidates(cands []Candidate) {
-	slices.SortFunc(cands, candCompare)
-}
-
 // GridSearch evaluates the full space and returns candidates sorted
 // cheapest-first under the candCompare total order. A BatchEvaluator
 // (the compiled model) is routed subspace-at-a-time through
@@ -214,7 +209,7 @@ func GridSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing) ([]Candi
 	if err != nil {
 		return nil, err
 	}
-	sortCandidates(out)
+	sortCands(out)
 	return out, nil
 }
 
@@ -290,7 +285,39 @@ func sortKeys(keys []candKey, tie func(a, b int32) bool) {
 	}
 }
 
-// gridScratch is batchGrid's reusable working set; pooling it makes
+// sortCands orders cands under candCompare in place. It sorts pooled
+// (cost, index) keys with sortKeys, then applies the order by walking
+// each cycle of the permutation once, so every candidate moves once
+// instead of at every exchange of the sort.
+func sortCands(cands []Candidate) {
+	g := gridPool.Get().(*gridScratch)
+	defer gridPool.Put(g)
+	keys := g.growKeys(len(cands))
+	for i, c := range cands {
+		keys[i] = candKey{cost: c.Cost, idx: int32(i)}
+	}
+	sortKeys(keys, func(a, b int32) bool { return candCompare(cands[a], cands[b]) < 0 })
+	// Slot j takes the candidate at keys[j].idx; a spent key is marked -1.
+	for j := range keys {
+		if keys[j].idx < 0 {
+			continue
+		}
+		first := cands[j]
+		cur := j
+		for {
+			src := int(keys[cur].idx)
+			keys[cur].idx = -1
+			if src == j {
+				cands[cur] = first
+				break
+			}
+			cands[cur] = cands[src]
+			cur = src
+		}
+	}
+}
+
+// gridScratch is the searches' reusable working set; pooling it makes
 // the steady-state search allocate only the returned candidate slice.
 type gridScratch struct {
 	specs []cloud.ClusterSpec
@@ -304,9 +331,17 @@ func (g *gridScratch) grow(size int) {
 	if cap(g.specs) < size {
 		g.specs = make([]cloud.ClusterSpec, 0, size)
 		g.outs = make([]time.Duration, size)
-		g.keys = make([]candKey, size)
 	}
 	g.specs = g.specs[:0]
+	g.growKeys(size)
+}
+
+// growKeys returns size key slots.
+func (g *gridScratch) growKeys(size int) []candKey {
+	if cap(g.keys) < size {
+		g.keys = make([]candKey, size)
+	}
+	return g.keys[:size]
 }
 
 // batchGrid is GridSearch for batch-capable evaluators: enumerate the
@@ -348,8 +383,7 @@ func batchGrid(space Space, be BatchEvaluator, pricing cloud.Pricing) ([]Candida
 	}
 	// Sort (cost, index) keys instead of candidates: almost every
 	// comparison resolves on cost alone, and the rare tie falls back to
-	// the full candCompare order — the same total order sortCandidates
-	// produces, at a fraction of the moves.
+	// the full candCompare order, at a fraction of the moves.
 	// Price combo-major so each device pair's disk rates are derived
 	// once; the expression tree per point is exactly ClusterSpec.Cost's
 	// ((v·rate + dh + dl)·slaves)·hours, so the keys match the pool

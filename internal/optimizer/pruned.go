@@ -210,7 +210,7 @@ func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons C
 			}
 		}
 	}
-	sortCandidates(cands)
+	sortCands(cands)
 	rep.Candidates = cands
 	return rep, nil
 }

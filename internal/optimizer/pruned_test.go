@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -307,6 +308,34 @@ func BenchmarkPrunedSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := PrunedSearch(space, eval, pricing, cons); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSortCandsMatchesCompareSort checks the keyed sort against a
+// comparison sort under candCompare, on candidates drawn from few
+// costs and runtimes so that most comparisons fall through to the
+// tie-breaks.
+func TestSortCandsMatchesCompareSort(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	space := DefaultSpace(4)
+	space.HeapGBs = []float64{2, 8}
+	specs := space.Specs()
+	for trial := 0; trial < 50; trial++ {
+		n := r.Intn(len(specs) + 1)
+		cands := make([]Candidate, n)
+		for i := range cands {
+			cands[i] = Candidate{
+				Spec: specs[r.Intn(len(specs))],
+				Time: time.Duration(r.Intn(3)) * time.Minute,
+				Cost: float64(r.Intn(4)),
+			}
+		}
+		want := slices.Clone(cands)
+		slices.SortFunc(want, candCompare)
+		sortCands(cands)
+		if !reflect.DeepEqual(cands, want) {
+			t.Fatalf("trial %d (n=%d): keyed sort diverges from candCompare order", trial, n)
 		}
 	}
 }
