@@ -119,4 +119,28 @@ func TestRunnerReuseAllocsIndependentOfSlaves(t *testing.T) {
 		t.Fatalf("a reused Runner allocated %.0f more at 1,000 slaves than at 100 (%.0f → %.0f); setup must be O(1) in the node count",
 			large-small, small, large)
 	}
+
+	// Switching node counts keeps the nodes, stage slabs and attempt
+	// pool: once a Runner has run both counts, a pair of runs that
+	// switches 1,000 → 100 → 1,000 allocates what the two runs allocate
+	// without switching.
+	var rn Runner
+	few, many := DefaultTestbed(100, 2, ssd, ssd), DefaultTestbed(1000, 2, ssd, ssd)
+	for _, cfg := range []ClusterConfig{many, few} {
+		if _, err := rn.Run(cfg, app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	switching := testing.AllocsPerRun(3, func() {
+		for _, cfg := range []ClusterConfig{many, few} {
+			if _, err := rn.Run(cfg, app); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("switching pair: %.0f allocations", switching)
+	if switching-(small+large) > 4 {
+		t.Fatalf("a Runner switching between 1,000 and 100 slaves allocated %.0f per pair of runs, %.0f more than the same runs without switching",
+			switching, switching-(small+large))
+	}
 }

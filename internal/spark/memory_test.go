@@ -239,7 +239,7 @@ func TestMemReleasedOnAllExits(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(cfg)
+	r := newRunner()
 	r.reset(cfg, app)
 	// The aggressive failure rate may abort the app; the reservation
 	// invariant must hold either way (aborted runs drain their

@@ -24,15 +24,15 @@ func Run(cfg ClusterConfig, app App) (*Result, error) {
 	return new(Runner).Run(cfg, app)
 }
 
-// Runner runs simulations one after another on the same storage. When
-// a run has the previous run's Slaves and ModelNetwork, Run resets and
-// reuses that run's engine arena and lanes, nodes with their core pools
-// and flow resources, attempt pool and per-stage slabs instead of
-// building them again, so a second run's setup allocates O(1) in the
-// node count. Results are identical to Run's, byte for byte. The zero
-// value is ready to use. A Runner is not safe for concurrent use, and
-// it holds its storage until it is dropped: scope it to the calls that
-// share it.
+// Runner runs simulations one after another on the same storage: Run
+// resets and reuses the previous runs' engine arena and lanes, nodes
+// with their core pools and flow resources, attempt pool and per-stage
+// slabs instead of building them again. A run on more nodes than any
+// before it builds only the missing nodes, so a run whose node count
+// the Runner has seen allocates O(1) in the node count. Results are
+// identical to Run's, byte for byte. The zero value is ready to use. A
+// Runner is not safe for concurrent use, and it holds its storage
+// until it is dropped: scope it to the calls that share it.
 type Runner struct {
 	r *runner // the previous run's storage; nil before the first run
 }
@@ -50,8 +50,8 @@ func (rn *Runner) Run(cfg ClusterConfig, app App) (*Result, error) {
 	// Detached for the run: if it panics, the next Run rebuilds instead
 	// of resetting half-updated state.
 	rn.r = nil
-	if r == nil || r.cfg.Slaves != cfg.Slaves || r.cfg.ModelNetwork != cfg.ModelNetwork {
-		r = newRunner(cfg)
+	if r == nil {
+		r = newRunner()
 	}
 	r.reset(cfg, app)
 	res, err := r.run()
@@ -319,33 +319,45 @@ type cfgDerived struct {
 	remoteFrac float64 // fraction of shuffle-read bytes crossing the NIC
 }
 
-// newRunner builds the engine and nodes of a cluster with cfg's Slaves
-// and ModelNetwork; reset readies them for each run.
-func newRunner(cfg ClusterConfig) *runner {
-	eng := sim.NewEngine()
-	r := &runner{eng: eng}
-	r.ns = make([]*node, cfg.Slaves)
-	for id := range r.ns {
-		// Resources carry static device names: a per-node name would be
-		// formatted three times per node per run, only ever to appear
-		// in a simulator panic.
-		n := &node{
-			id:    id,
-			cores: sim.NewCorePool(eng, cfg.ExecutorCores),
-			hdfs:  sim.NewFlowResource(eng, "hdfs"),
-			local: sim.NewFlowResource(eng, "local"),
-		}
-		if cfg.ModelNetwork {
-			n.nic = sim.NewFlowResource(eng, "nic")
-		}
-		r.ns[id] = n
-	}
+// newRunner builds a runner's engine; reset builds its nodes.
+func newRunner() *runner {
+	r := &runner{eng: sim.NewEngine()}
 	r.finalF = r.finalize
 	return r
 }
 
-// reset readies the runner for one run of app on cfg, which has the
-// Slaves and ModelNetwork the runner was built for. Everything a run
+// fitNodes sizes the node set to cfg's Slaves on the runner's engine.
+// Nodes of earlier runs are kept with their storage, also those past
+// the current count (the slice keeps them within its capacity), so
+// only nodes no earlier run had are built; a NIC is added to a kept
+// node the first time a run models the network.
+func (r *runner) fitNodes(cfg ClusterConfig) {
+	if cfg.Slaves > cap(r.ns) {
+		ns := make([]*node, cfg.Slaves)
+		copy(ns, r.ns[:cap(r.ns)])
+		r.ns = ns
+	}
+	r.ns = r.ns[:cfg.Slaves]
+	for id, n := range r.ns {
+		if n == nil {
+			// Resources carry static device names: a per-node name would
+			// be formatted three times per node per run, only ever to
+			// appear in a simulator panic.
+			n = &node{
+				id:    id,
+				cores: sim.NewCorePool(r.eng, cfg.ExecutorCores),
+				hdfs:  sim.NewFlowResource(r.eng, "hdfs"),
+				local: sim.NewFlowResource(r.eng, "local"),
+			}
+			r.ns[id] = n
+		}
+		if cfg.ModelNetwork && n.nic == nil {
+			n.nic = sim.NewFlowResource(r.eng, "nic")
+		}
+	}
+}
+
+// reset readies the runner for one run of app on cfg. Everything a run
 // changes is returned to its initial state; storage is kept.
 func (r *runner) reset(cfg ClusterConfig, app App) {
 	d := cfgDerived{ClusterConfig: cfg}
@@ -364,6 +376,7 @@ func (r *runner) reset(cfg ClusterConfig, app App) {
 	r.eng.Reserve(slots + cfg.Slaves + 16)
 	r.launch = units.SecDuration(cfg.TaskLaunchOverhead.Seconds())
 	r.eng.SetFixedDelay(r.launch)
+	r.fitNodes(cfg)
 	for _, n := range r.ns {
 		n.cores.Reset(cfg.ExecutorCores)
 		n.hdfs.Reset()

@@ -20,11 +20,11 @@ type reuseCase struct {
 
 // reuseOrder lists every golden case of workload name plus extra
 // memory-layer, blacklisting and aborting cases, grouped by slave
-// count (a Runner reuses its storage only within one) and shuffled
-// within each group by a fixed seed, so consecutive runs differ in
-// cores, devices, jitter, faults, speculation and memory. No group
-// ends on its aborting case: the run after an abort must reuse the
-// runner it left.
+// count (so between groups the reused Runner grows from 4 to 8 nodes,
+// then shrinks to 3) and shuffled within each group by a fixed seed,
+// so consecutive runs differ in cores, devices, jitter, faults,
+// speculation and memory. No group ends on its aborting case: the run
+// after an abort must reuse the runner it left.
 func reuseOrder(name string) []reuseCase {
 	ssd, hdd := disk.NewSSD(), disk.NewHDD()
 	groups := map[int][]reuseCase{}
