@@ -89,10 +89,12 @@ func Calibrate(base spark.ClusterConfig, ssd, hdd disk.Device, build func(spark.
 		}
 
 		// δ_scale from runs 1 and 2: residual of the measured stage time
-		// over the modelled parallel work, averaged.
-		w1 := parallelWork(sm, pl1)
-		w2 := parallelWork(sm, Platform{N: pl1.N, P: 2, Curves: pl1.Curves,
-			Replication: pl1.Replication, BlockSize: pl1.BlockSize})
+		// over the modelled parallel work, averaged. sm has no δ yet, so
+		// its t_scale is exactly that work.
+		pl2 := pl1
+		pl2.P = 2
+		w1 := chk.TScale
+		w2 := sm.Predict(pl2, ModeDoppio).TScale
 		r1 := s1.Duration() - w1
 		r2 := cal.Run2.Stages[si].Duration() - w2
 		sm.DeltaScale = (r1 + r2) / 2
@@ -161,15 +163,6 @@ func fitStageShape(s spark.StageResult) StageModel {
 		sm.Groups = append(sm.Groups, gm)
 	}
 	return sm
-}
-
-// parallelWork is the modelled Σ_g Count_g/(N·P)·t_avg_g without δ.
-func parallelWork(sm StageModel, pl Platform) time.Duration {
-	var sec float64
-	for _, g := range sm.Groups {
-		sec += float64(g.Count) / float64(pl.N*pl.P) * g.TaskTime(pl, ModeDoppio).Seconds()
-	}
-	return units.SecDuration(sec)
 }
 
 // fitDelta fits δ_read or δ_write from an I/O-bound sample run: when the

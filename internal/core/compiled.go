@@ -47,7 +47,7 @@ func (e Env) platform() Platform {
 }
 
 // checkShape validates a cluster shape with the same errors
-// Platform.Validate reports, so the compiled path and the classic path
+// Platform.Validate reports, so a compiled model and AppModel.Predict
 // fail identically.
 func checkShape(n, p int) error {
 	switch {
@@ -68,14 +68,15 @@ type Shape struct {
 // compiledGroup is the per-group input of the t_scale term. count is
 // stored pre-converted so the hot loop does no int-to-float work, but
 // the arithmetic — count/(N·P)·t_g, summed in group order — is exactly
-// the expression StageModel.Predict evaluates.
+// the expression of the classicPredict reference in the tests.
 type compiledGroup struct {
 	count float64 // float64(GroupModel.Count)
 	tgSec float64 // GroupModel.TaskTime(env, mode) in seconds
 	// ioBytes is the per-task I/O volume in bytes; the t_mem_limit term
 	// scales it by the memory model's expansion into the in-heap working
-	// set when it evaluates, so the stage terms do not depend on the
-	// memory parameters (see WithMemory).
+	// set (the rule of spark.MemoryConfig.TaskWorkingSet) when it
+	// evaluates, so the stage terms do not depend on the memory
+	// parameters (see WithMemory).
 	ioBytes float64
 }
 
@@ -85,8 +86,8 @@ type compiledStage struct {
 	name   string
 	groups []compiledGroup
 	// readSec/writeSec are Σ D_op/BW_op device-seconds per (device,
-	// direction) path, accumulated in the same (group, op) order as
-	// StageModel.Predict. Index 0 is the Spark Local device, 1 is HDFS.
+	// direction) path, accumulated in (group, op) order. Index 0 is the
+	// Spark Local device, 1 is HDFS.
 	readSec  [2]float64
 	writeSec [2]float64
 	// tAvg is the count-weighted average task time (shape-independent).
@@ -102,9 +103,10 @@ type compiledStage struct {
 // prediction methods allocate nothing (PredictBatch is the zero-alloc
 // steady-state API).
 //
-// Predictions are byte-identical to AppModel.Predict on a Platform with
-// the same environment: the compiled form preserves the exact
-// floating-point expression order of the classic path.
+// It is the one implementation of Eq. 1: StageModel.Predict,
+// AppModel.Predict and PredictFaulty all evaluate compiled stages. The
+// tests hold it byte-identical to classicPredict, a term-by-term
+// reference walk over the uncompiled model.
 type CompiledModel struct {
 	app    string
 	mode   Mode
@@ -147,8 +149,7 @@ func compile(a AppModel, env Env, mode Mode) *CompiledModel {
 		total := 0
 		// One op walk per group yields both its task time (GroupModel.
 		// TaskTime) and its share of the per-path D/BW sums, accumulated
-		// in StageModel.Predict's (group, op) order, so each op's
-		// bandwidth is looked up once.
+		// in (group, op) order, so each op's bandwidth is looked up once.
 		for _, g := range s.Groups {
 			t := g.ComputePerTask
 			for _, op := range g.Ops {
@@ -209,8 +210,10 @@ type stageIOTerms struct {
 	read, write, dev time.Duration
 }
 
-// ioTerms evaluates the three I/O limit terms of Eq. 1, mirroring
-// StageModel.Predict operation for operation.
+// ioTerms evaluates the three I/O limit terms of Eq. 1: directional
+// limits take the binding device, since independent devices serve their
+// loads in parallel, and a device serving both directions must fit
+// their sum.
 func (cs *compiledStage) ioTerms(n int) stageIOTerms {
 	var io stageIOTerms
 	nf := float64(n)
@@ -239,8 +242,8 @@ func (cs *compiledStage) ioTerms(n int) stageIOTerms {
 	return io
 }
 
-// scale evaluates t_scale: Σ_g Count_g/(N·P)·t_avg_g + δ_scale, with
-// the per-group expression order of StageModel.Predict.
+// scale evaluates t_scale: Σ_g Count_g/(N·P)·t_avg_g + δ_scale, summed
+// in group order.
 func (cs *compiledStage) scale(n, p int) time.Duration {
 	var scaleSec float64
 	np := float64(n * p)
@@ -250,30 +253,47 @@ func (cs *compiledStage) scale(n, p int) time.Duration {
 	return units.SecDuration(scaleSec) + cs.deltaScale
 }
 
-// timeWith combines precomputed I/O terms with the shape's scaling term
-// into the stage time, applying the mode's overlap rule.
-func (cs *compiledStage) timeWith(io stageIOTerms, n, p int, mode Mode) time.Duration {
-	ts := cs.scale(n, p)
+// The values of StagePrediction.Bottleneck, indexed by combine's
+// second result.
+const (
+	bnScale = iota
+	bnRead
+	bnWrite
+	bnDevice
+	bnSum
+	bnMemory
+)
+
+var bottleneckNames = [...]string{"scale", "read", "write", "device", "sum", "memory"}
+
+// combine applies the mode's overlap rule to one stage's Eq. 1 terms:
+// the max of t_scale and the I/O limits (t_scale plus the directional
+// limits under ModeNoOverlap), plus the additive t_mem_limit. It also
+// returns the binding term, memory when t_mem_limit exceeds the others.
+func combine(ts time.Duration, io stageIOTerms, mem time.Duration, mode Mode) (time.Duration, int) {
 	if mode == ModeNoOverlap {
-		return ts + io.read + io.write
+		return ts + io.read + io.write + mem, bnSum
 	}
-	t := ts
+	t, b := ts, bnScale
 	if io.read > t {
-		t = io.read
+		t, b = io.read, bnRead
 	}
 	if io.write > t {
-		t = io.write
+		t, b = io.write, bnWrite
 	}
 	if io.dev > t {
-		t = io.dev
+		t, b = io.dev, bnDevice
 	}
-	return t
+	if mem > 0 && mem > t {
+		b = bnMemory
+	}
+	return t + mem, b
 }
 
 // memLimit evaluates one stage's t_mem_limit for a shape without
 // allocating; zero when the environment's memory model is off. The
-// per-group expressions are memEnv.groupTerms, shared with
-// StageModel.Predict for byte-identity.
+// per-group expressions are memEnv.groupTerms, shared with the
+// classicPredict reference.
 func (c *CompiledModel) memLimit(cs *compiledStage, n, p int) time.Duration {
 	if !c.memOn {
 		return 0
@@ -281,7 +301,6 @@ func (c *CompiledModel) memLimit(cs *compiledStage, n, p int) time.Duration {
 	nf, pf := float64(n), float64(p)
 	var memScale, memDev float64
 	for _, g := range cs.groups {
-		// The same product groupWS forms on the classic path.
 		a, b := c.mem.groupTerms(g.count, c.mem.expansion*g.ioBytes, nf, pf)
 		memScale += a
 		memDev += b
@@ -289,39 +308,14 @@ func (c *CompiledModel) memLimit(cs *compiledStage, n, p int) time.Duration {
 	return units.SecDuration(maxf(memScale, memDev))
 }
 
-// evalStage evaluates Eq. 1 for one compiled stage, byte-identical to
-// StageModel.Predict, without allocating.
+// evalStage evaluates Eq. 1 for one compiled stage without allocating.
 func (c *CompiledModel) evalStage(cs *compiledStage, n, p int) StagePrediction {
-	pred := StagePrediction{Name: cs.name, TAvg: cs.tAvg}
-	pred.TScale = cs.scale(n, p)
+	pred := StagePrediction{Name: cs.name, TAvg: cs.tAvg, TScale: cs.scale(n, p), TMemLimit: c.memLimit(cs, n, p)}
 	io := cs.ioTerms(n)
 	pred.TReadLimit, pred.TWriteLimit, pred.TDeviceLimit = io.read, io.write, io.dev
-	pred.TMemLimit = c.memLimit(cs, n, p)
-
-	if c.mode == ModeNoOverlap {
-		pred.T = pred.TScale + pred.TReadLimit + pred.TWriteLimit + pred.TMemLimit
-		pred.Bottleneck = "sum"
-		return pred
-	}
-
-	pred.T = pred.TScale
-	pred.Bottleneck = "scale"
-	if pred.TReadLimit > pred.T {
-		pred.T = pred.TReadLimit
-		pred.Bottleneck = "read"
-	}
-	if pred.TWriteLimit > pred.T {
-		pred.T = pred.TWriteLimit
-		pred.Bottleneck = "write"
-	}
-	if pred.TDeviceLimit > pred.T {
-		pred.T = pred.TDeviceLimit
-		pred.Bottleneck = "device"
-	}
-	if pred.TMemLimit > 0 && pred.TMemLimit > pred.T {
-		pred.Bottleneck = "memory"
-	}
-	pred.T += pred.TMemLimit
+	var b int
+	pred.T, b = combine(pred.TScale, io, pred.TMemLimit, c.mode)
+	pred.Bottleneck = bottleneckNames[b]
 	return pred
 }
 
@@ -342,9 +336,7 @@ func (c *CompiledModel) Predict(n, p int) (AppPrediction, error) {
 }
 
 // Total evaluates t_app for one shape without allocating. It sums
-// evalStage's T without building the per-stage breakdown: the overlap
-// rule on the same terms, plus t_mem_limit (zero when the memory model
-// is off).
+// evalStage's T without building the per-stage breakdown.
 func (c *CompiledModel) Total(n, p int) (time.Duration, error) {
 	if err := checkShape(n, p); err != nil {
 		return 0, err
@@ -352,7 +344,8 @@ func (c *CompiledModel) Total(n, p int) (time.Duration, error) {
 	var total time.Duration
 	for i := range c.stages {
 		cs := &c.stages[i]
-		total += cs.timeWith(cs.ioTerms(n), n, p, c.mode) + c.memLimit(cs, n, p)
+		t, _ := combine(cs.scale(n, p), cs.ioTerms(n), c.memLimit(cs, n, p), c.mode)
+		total += t
 	}
 	return total, nil
 }
@@ -449,11 +442,11 @@ func (c *CompiledModel) TopBottleneck(n, p int) (string, error) {
 	}
 	// Indexes into bottleneckNames; mirrors the string census of the
 	// sweep handler: top switches only on a strictly greater count.
-	var counts [6]int
+	var counts [len(bottleneckNames)]int
 	top := -1
 	for i := range c.stages {
-		sp := c.evalStage(&c.stages[i], n, p)
-		k := bottleneckIndex(sp.Bottleneck)
+		cs := &c.stages[i]
+		_, k := combine(cs.scale(n, p), cs.ioTerms(n), c.memLimit(cs, n, p), c.mode)
 		counts[k]++
 		if top < 0 || counts[k] > counts[top] {
 			top = k
@@ -463,15 +456,4 @@ func (c *CompiledModel) TopBottleneck(n, p int) (string, error) {
 		return "", nil
 	}
 	return bottleneckNames[top], nil
-}
-
-var bottleneckNames = [6]string{"scale", "read", "write", "device", "sum", "memory"}
-
-func bottleneckIndex(b string) int {
-	for i, n := range bottleneckNames {
-		if n == b {
-			return i
-		}
-	}
-	return 0
 }

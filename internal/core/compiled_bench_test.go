@@ -44,10 +44,10 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictClassic is the pre-compilation path for comparison:
-// one full AppModel.Predict per point, re-deriving per-stage state each
-// time (what the optimizer paid per grid point before the fast path).
-func BenchmarkPredictClassic(b *testing.B) {
+// BenchmarkAppPredict is one full AppModel.Predict per point: a
+// compile and an evaluation each time, for comparison with the
+// steady-state PredictBatch.
+func BenchmarkAppPredict(b *testing.B) {
 	app := testApp()
 	env := testEnv()
 	pl := Platform{N: 10, P: 36, Curves: env.Curves, Replication: env.Replication, BlockSize: env.BlockSize}

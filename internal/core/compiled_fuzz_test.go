@@ -109,9 +109,11 @@ func fuzzMemParams(r *rand.Rand) MemParams {
 	return m
 }
 
-// FuzzCompiledPredict holds the compiled fast path and the classic
-// per-stage path byte-identical on randomized models, environments,
-// shapes and modes. Seeds live in testdata/fuzz/FuzzCompiledPredict.
+// FuzzCompiledPredict holds every prediction API byte-identical to the
+// classicPredict reference on randomized models, environments, shapes
+// and modes: AppModel.Predict, the compiled model's Predict, Total and
+// PredictBatch, WithMemory variants, and PredictFaulty without faults.
+// Seeds live in testdata/fuzz/FuzzCompiledPredict.
 func FuzzCompiledPredict(f *testing.F) {
 	f.Add(uint64(1), 3, 8, 0)
 	f.Add(uint64(42), 10, 36, 1)
@@ -155,9 +157,10 @@ func FuzzCompiledPredict(f *testing.F) {
 			t.Fatalf("seed %d shape (%d,%d) mode %v: Total %v (err %v) != %v",
 				seed, n, p, m, total, err, want.Total)
 		}
+		checkFaultFree(t, app, pl, m, want)
 
 		// One memory variant derived through WithMemory must predict what
-		// the classic path predicts with that memory (half the time the
+		// the reference predicts with that memory (half the time the
 		// variant switches the term off).
 		var mem MemParams
 		if r.Intn(2) == 0 {
@@ -184,7 +187,28 @@ func FuzzCompiledPredict(f *testing.F) {
 			t.Fatalf("seed %d shape (%d,%d) mode %v memory %+v: WithMemory batch total %v != %v",
 				seed, n, p, m, mem, batch[0], want.Total)
 		}
+		checkFaultFree(t, app, pl, m, want)
 	})
+}
+
+// checkFaultFree holds PredictFaulty without faults to the reference:
+// its Base, Total and every stage's terms must equal want's.
+func checkFaultFree(t *testing.T, app AppModel, pl Platform, m Mode, want AppPrediction) {
+	t.Helper()
+	fp, err := app.PredictFaulty(pl, m, FaultParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp.Base != want.Total || fp.Total != want.Total || len(fp.Stages) != len(want.Stages) {
+		t.Fatalf("shape (%d,%d) mode %v memory %+v: PredictFaulty base %v total %v over %d stages, want %v over %d",
+			pl.N, pl.P, m, pl.Memory, fp.Base, fp.Total, len(fp.Stages), want.Total, len(want.Stages))
+	}
+	for i, fs := range fp.Stages {
+		if fs.StagePrediction != want.Stages[i] || fs.Base != want.Stages[i].T {
+			t.Fatalf("shape (%d,%d) mode %v memory %+v: PredictFaulty stage %d diverges\n got %+v\nwant %+v",
+				pl.N, pl.P, m, pl.Memory, i, fs, want.Stages[i])
+		}
+	}
 }
 
 func abs(v int) int {

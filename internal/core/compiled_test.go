@@ -11,13 +11,119 @@ import (
 	"repro/internal/units"
 )
 
-// refPredict is the pre-compilation prediction path — a direct loop
-// over StageModel.Predict, which the compiled path must reproduce
-// byte-for-byte.
+// classicPredict is the reference implementation of Eq. 1 the tests
+// keep: the stage's terms derived term by term from the uncompiled
+// model, with the overlap rule written out. The compiled model must
+// reproduce it byte for byte, so it follows the same floating-point
+// expression order.
+func classicPredict(s StageModel, pl Platform, mode Mode) StagePrediction {
+	pred := StagePrediction{Name: s.Name}
+
+	// t_scale: Σ_g Count_g/(N·P) · t_avg_g + δ_scale.
+	var scaleSec, weighted float64
+	total := 0
+	for _, g := range s.Groups {
+		tg := g.TaskTime(pl, mode).Seconds()
+		scaleSec += float64(g.Count) / float64(pl.N*pl.P) * tg
+		weighted += float64(g.Count) * tg
+		total += g.Count
+	}
+	if total > 0 {
+		pred.TAvg = units.SecDuration(weighted / float64(total))
+	}
+	pred.TScale = units.SecDuration(scaleSec) + s.DeltaScale
+
+	// I/O limit terms: Σ D/BW per (device, direction), index 0 the Local
+	// device and 1 HDFS; directional limits take the binding device, and
+	// a device serving both directions must fit their sum.
+	var readSec, writeSec [2]float64
+	for _, g := range s.Groups {
+		for _, op := range g.Ops {
+			bw := effBW(op, pl, mode)
+			if bw <= 0 || op.BytesPerTask <= 0 {
+				continue
+			}
+			vol := units.ByteSize(int64(g.Count)) * opVolume(op, pl)
+			sec := float64(vol) / float64(bw)
+			d := 1
+			if op.Kind.OnLocal() {
+				d = 0
+			}
+			if op.Kind.IsRead() {
+				readSec[d] += sec
+			} else {
+				writeSec[d] += sec
+			}
+		}
+	}
+	n := float64(pl.N)
+	if r := maxf(readSec[0], readSec[1]); r > 0 {
+		pred.TReadLimit = units.SecDuration(r/n) + s.DeltaRead
+	}
+	if w := maxf(writeSec[0], writeSec[1]); w > 0 {
+		pred.TWriteLimit = units.SecDuration(w/n) + s.DeltaWrite
+	}
+	for d := 0; d < 2; d++ {
+		combined := readSec[d] + writeSec[d]
+		if combined <= 0 {
+			continue
+		}
+		lim := units.SecDuration(combined / n)
+		if readSec[d] > 0 {
+			lim += s.DeltaRead
+		}
+		if writeSec[d] > 0 {
+			lim += s.DeltaWrite
+		}
+		if lim > pred.TDeviceLimit {
+			pred.TDeviceLimit = lim
+		}
+	}
+
+	// t_mem_limit: heap-overflow spill through the Local device plus
+	// expected GC stalls.
+	if me, on := pl.Memory.resolve(pl.Curves); on {
+		nf, pf := float64(pl.N), float64(pl.P)
+		var memScale, memDev float64
+		for _, g := range s.Groups {
+			a, b := me.groupTerms(float64(g.Count), me.expansion*float64(g.ioBytes()), nf, pf)
+			memScale += a
+			memDev += b
+		}
+		pred.TMemLimit = units.SecDuration(maxf(memScale, memDev))
+	}
+
+	if mode == ModeNoOverlap {
+		pred.T = pred.TScale + pred.TReadLimit + pred.TWriteLimit + pred.TMemLimit
+		pred.Bottleneck = "sum"
+		return pred
+	}
+	pred.T = pred.TScale
+	pred.Bottleneck = "scale"
+	if pred.TReadLimit > pred.T {
+		pred.T = pred.TReadLimit
+		pred.Bottleneck = "read"
+	}
+	if pred.TWriteLimit > pred.T {
+		pred.T = pred.TWriteLimit
+		pred.Bottleneck = "write"
+	}
+	if pred.TDeviceLimit > pred.T {
+		pred.T = pred.TDeviceLimit
+		pred.Bottleneck = "device"
+	}
+	if pred.TMemLimit > 0 && pred.TMemLimit > pred.T {
+		pred.Bottleneck = "memory"
+	}
+	pred.T += pred.TMemLimit
+	return pred
+}
+
+// refPredict sums classicPredict over the stages.
 func refPredict(a AppModel, pl Platform, mode Mode) AppPrediction {
 	out := AppPrediction{App: a.Name}
 	for _, s := range a.Stages {
-		sp := s.Predict(pl, mode)
+		sp := classicPredict(s, pl, mode)
 		out.Stages = append(out.Stages, sp)
 		out.Total += sp.T
 	}
@@ -220,31 +326,53 @@ func TestCompileValidates(t *testing.T) {
 
 func TestTopBottleneckMatchesCensus(t *testing.T) {
 	app := testApp()
-	env := testEnv()
-	cm, err := Compile(app, env, ModeDoppio)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := Platform{Curves: env.Curves, Replication: env.Replication, BlockSize: env.BlockSize}
-	for _, sh := range []Shape{{1, 1}, {3, 8}, {10, 36}, {64, 32}} {
-		pl.N, pl.P = sh.N, sh.P
-		// Reference census: the rule the sweep endpoint has always used.
-		counts := map[string]int{}
-		top := ""
-		for _, s := range app.Stages {
-			st := s.Predict(pl, ModeDoppio)
-			counts[st.Bottleneck]++
-			if top == "" || counts[st.Bottleneck] > counts[top] {
-				top = st.Bottleneck
+	for _, mode := range []Mode{ModeDoppio, ModePeakBW, ModeNoOverlap} {
+		for _, heap := range []units.ByteSize{0, 256 * units.MB} {
+			env := testEnv()
+			env.Memory = MemParams{HeapBytes: heap}
+			cm, err := Compile(app, env, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := Platform{Curves: env.Curves, Replication: env.Replication, BlockSize: env.BlockSize, Memory: env.Memory}
+			for _, sh := range []Shape{{1, 1}, {3, 8}, {10, 36}, {64, 32}} {
+				pl.N, pl.P = sh.N, sh.P
+				// Reference census: the rule the sweep endpoint has always used.
+				counts := map[string]int{}
+				top := ""
+				for _, s := range app.Stages {
+					st := classicPredict(s, pl, mode)
+					counts[st.Bottleneck]++
+					if top == "" || counts[st.Bottleneck] > counts[top] {
+						top = st.Bottleneck
+					}
+				}
+				got, err := cm.TopBottleneck(sh.N, sh.P)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != top {
+					t.Errorf("%v heap %v shape %v: TopBottleneck = %q, census says %q", mode, heap, sh, got, top)
+				}
 			}
 		}
-		got, err := cm.TopBottleneck(sh.N, sh.P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != top {
-			t.Errorf("shape %v: TopBottleneck = %q, census says %q", sh, got, top)
-		}
+	}
+}
+
+// TestCompileAllocsSameInEveryMode: resolving the peak bandwidth in
+// ModePeakBW must not copy the curve's sample table per op.
+func TestCompileAllocsSameInEveryMode(t *testing.T) {
+	app, env := testApp(), testEnv()
+	allocs := map[Mode]float64{}
+	for _, mode := range []Mode{ModeDoppio, ModePeakBW, ModeNoOverlap} {
+		allocs[mode] = testing.AllocsPerRun(50, func() {
+			if _, err := Compile(app, env, mode); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[ModePeakBW] != allocs[ModeDoppio] || allocs[ModeNoOverlap] != allocs[ModeDoppio] {
+		t.Errorf("Compile allocations differ by mode: %v", allocs)
 	}
 }
 

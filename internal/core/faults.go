@@ -148,37 +148,38 @@ const wasteFraction = 0.5
 //     scale term gains p·(wasteFraction·t_avg + backoff) of expected
 //     tail latency.
 //
+// The degraded terms then go through Eq. 1's overlap rule, t_mem_limit
+// included, exactly as the fault-free ones do.
+//
 // Stages are treated as a linear chain (stage i's parent is stage i-1),
 // matching the simulator's implicit scheduling for chain apps.
 func (a AppModel) PredictFaulty(pl Platform, mode Mode, f FaultParams) (FaultyAppPrediction, error) {
 	if err := f.Validate(); err != nil {
 		return FaultyAppPrediction{}, err
 	}
-	base, err := a.Predict(pl, mode)
+	cm, err := a.compileFor(pl, mode)
 	if err != nil {
 		return FaultyAppPrediction{}, err
 	}
-	out := FaultyAppPrediction{App: a.Name, Base: base.Total}
-	if !f.Enabled() {
-		// Strictly additive, like the simulator: no faults, no change.
-		for _, sp := range base.Stages {
-			out.Stages = append(out.Stages, FaultyStagePrediction{StagePrediction: sp, Base: sp.T})
-		}
-		out.Total = base.Total
-		return out, nil
-	}
-
+	out := FaultyAppPrediction{App: a.Name, Stages: make([]FaultyStagePrediction, 0, len(a.Stages))}
 	p := f.TaskFailureProb
 	q := f.ShuffleFetchFailureProb
 	inflate := 1 + f.extraAttempts(p)*wasteFraction
 	survive := 1.0
 	for i, s := range a.Stages {
-		sp := s.Predict(pl, mode)
+		sp := cm.evalStage(&cm.stages[i], pl.N, pl.P)
 		fs := FaultyStagePrediction{StagePrediction: sp, Base: sp.T}
+		out.Base += sp.T
+		// Strictly additive, like the simulator: no faults, no change.
+		if !f.Enabled() {
+			out.Stages = append(out.Stages, fs)
+			out.Total += fs.T
+			continue
+		}
 
 		// Work inflation applies to the load-dependent part of every
 		// term; the δ constants are serial overheads failures do not
-		// multiply.
+		// multiply. t_mem_limit is kept as it is.
 		fs.TScale = scaleTerm(sp.TScale, s.DeltaScale, inflate)
 		fs.TReadLimit = scaleTerm(sp.TReadLimit, s.DeltaRead, inflate)
 		fs.TWriteLimit = scaleTerm(sp.TWriteLimit, s.DeltaWrite, inflate)
@@ -199,10 +200,9 @@ func (a AppModel) PredictFaulty(pl Platform, mode Mode, f FaultParams) (FaultyAp
 			if g := shuffleReadTasks(s); g > 0 && len(parent.Groups) > 0 {
 				rec := f.extraAttempts(q) * float64(g)
 				fs.Recomputes = rec
-				pg := parent.Groups[0]
-				perRecompute := pg.TaskTime(pl, mode).Seconds()
+				perRecompute := cm.stages[i-1].groups[0].tgSec
 				fs.TScale += units.SecDuration(rec / float64(pl.N*pl.P) * perRecompute)
-				rSec, wSec := opDeviceSeconds(pg.Ops, pl, mode)
+				rSec, wSec := opDeviceSeconds(parent.Groups[0].Ops, pl, mode)
 				fs.TReadLimit += units.SecDuration(rec * rSec / float64(pl.N))
 				fs.TWriteLimit += units.SecDuration(rec * wSec / float64(pl.N))
 				fs.TDeviceLimit += units.SecDuration(rec * (rSec + wSec) / float64(pl.N))
@@ -215,24 +215,9 @@ func (a AppModel) PredictFaulty(pl Platform, mode Mode, f FaultParams) (FaultyAp
 			}
 		}
 
-		fs.T = fs.TScale
-		fs.Bottleneck = "scale"
-		if fs.TReadLimit > fs.T {
-			fs.T = fs.TReadLimit
-			fs.Bottleneck = "read"
-		}
-		if fs.TWriteLimit > fs.T {
-			fs.T = fs.TWriteLimit
-			fs.Bottleneck = "write"
-		}
-		if fs.TDeviceLimit > fs.T {
-			fs.T = fs.TDeviceLimit
-			fs.Bottleneck = "device"
-		}
-		if mode == ModeNoOverlap {
-			fs.T = fs.TScale + fs.TReadLimit + fs.TWriteLimit
-			fs.Bottleneck = "sum"
-		}
+		var b int
+		fs.T, b = combine(fs.TScale, stageIOTerms{fs.TReadLimit, fs.TWriteLimit, fs.TDeviceLimit}, fs.TMemLimit, mode)
+		fs.Bottleneck = bottleneckNames[b]
 		out.Stages = append(out.Stages, fs)
 		out.Total += fs.T
 

@@ -66,19 +66,36 @@ func TestPredictFaultyZeroIsIdentity(t *testing.T) {
 	}
 }
 
+// TestPredictFaultyMonotonic: more task failures never shorten the
+// expected run. The heap case keeps t_mem_limit in the degraded stage
+// time: without it the faulty total falls below the fault-free one.
 func TestPredictFaultyMonotonic(t *testing.T) {
-	m := mrModel(32, 32)
-	pl := platformOn(disk.NewSSD())
-	prev := time.Duration(0)
-	for _, p := range []float64{0, 0.05, 0.1, 0.2, 0.4} {
-		fp, err := m.PredictFaulty(pl, ModeDoppio, FaultParams{TaskFailureProb: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fp.Total <= prev {
-			t.Errorf("p=%v: total %v did not grow past %v", p, fp.Total, prev)
-		}
-		prev = fp.Total
+	heap := platformOn(disk.NewHDD())
+	heap.Memory = MemParams{HeapBytes: 256 * units.MB}
+	for _, tc := range []struct {
+		name string
+		m    AppModel
+		pl   Platform
+	}{
+		{"ssd", mrModel(32, 32), platformOn(disk.NewSSD())},
+		{"hdd-heap", mrModel(256, 256), heap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := time.Duration(0)
+			for _, p := range []float64{0, 1e-6, 0.05, 0.1, 0.2, 0.4} {
+				fp, err := tc.m.PredictFaulty(tc.pl, ModeDoppio, FaultParams{TaskFailureProb: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fp.Total <= prev {
+					t.Errorf("p=%v: total %v did not grow past %v", p, fp.Total, prev)
+				}
+				prev = fp.Total
+				if tc.pl.Memory.Enabled() && fp.Stages[0].TMemLimit <= 0 {
+					t.Fatalf("p=%v: heap case has no t_mem_limit", p)
+				}
+			}
+		})
 	}
 }
 

@@ -124,9 +124,9 @@ func (m MemParams) Validate() error {
 }
 
 // memEnv is the curve-resolved residue of MemParams: the scalars the
-// per-shape evaluation consumes. Both the classic and the compiled
-// prediction paths evaluate the term through this struct so their
-// floating-point expressions are identical.
+// per-shape evaluation consumes. The compiled model and the
+// classicPredict reference in the tests both evaluate the term through
+// this struct, so their floating-point expressions are identical.
 type memEnv struct {
 	heapF        float64 // usable heap per node, bytes
 	spillPerByte float64 // Local-device seconds per spilled byte (write + re-read)
@@ -157,13 +157,6 @@ func (m MemParams) resolve(c Curves) (memEnv, bool) {
 	}, true
 }
 
-// groupWS returns one task group's in-heap working set in bytes: the
-// expansion factor times the per-task I/O volume, the same rule as
-// spark.MemoryConfig.TaskWorkingSet.
-func (me memEnv) groupWS(g GroupModel) float64 {
-	return me.expansion * float64(g.ioBytes())
-}
-
 // ioBytes is the group's per-task I/O volume.
 func (g GroupModel) ioBytes() units.ByteSize {
 	var io units.ByteSize
@@ -178,8 +171,8 @@ func (g GroupModel) ioBytes() units.ByteSize {
 // groupTerms returns one group's contribution to the two t_mem_limit
 // candidates: the per-wave critical-path seconds (spill latency plus
 // expected GC pause, over Count/(N·P) waves) and the per-node device
-// seconds of the group's total spill volume. Shared by the classic and
-// compiled paths; the expression order here defines the term.
+// seconds of the group's total spill volume. Shared by the compiled
+// model and classicPredict; the expression order here defines the term.
 func (me memEnv) groupTerms(count, ws, nf, pf float64) (scaleSec, devSec float64) {
 	if ws <= 0 {
 		return 0, 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/spark"
@@ -113,9 +114,9 @@ func effBW(op OpModel, pl Platform, mode Mode) units.Rate {
 		return 0
 	}
 	if mode == ModePeakBW {
-		// Peak = the large-request end of the curve.
-		pts := curve.Points()
-		return pts[len(pts)-1].Bandwidth
+		// Peak = the large-request end of the curve; Lookup clamps to
+		// the last sample without copying the table.
+		return curve.Lookup(math.MaxInt64)
 	}
 	return curve.Lookup(effReqSize(op, pl))
 }
@@ -129,15 +130,10 @@ func opVolume(op OpModel, pl Platform) units.ByteSize {
 	return op.BytesPerTask
 }
 
-// perTaskIOTime is the uncontended duration of one op in one task:
-// bytes/min(T, BW(reqSize)), plus the interleaved compute when the op
-// has a coupled rate (harmonic composition).
-func perTaskIOTime(op OpModel, pl Platform, mode Mode) time.Duration {
-	return ioTimeAt(op, pl, effBW(op, pl, mode))
-}
-
-// ioTimeAt is perTaskIOTime at the op's already-resolved effective
-// bandwidth.
+// ioTimeAt is the uncontended duration of one op in one task at the
+// op's resolved effective bandwidth: bytes/min(T, BW(reqSize)), plus
+// the interleaved compute when the op has a coupled rate (harmonic
+// composition).
 func ioTimeAt(op OpModel, pl Platform, bw units.Rate) time.Duration {
 	rate := float64(bw)
 	if op.T > 0 && float64(op.T) < rate {
@@ -165,18 +161,13 @@ func perTaskBlockedTime(op OpModel, pl Platform) time.Duration {
 func (g GroupModel) TaskTime(pl Platform, mode Mode) time.Duration {
 	t := g.ComputePerTask
 	for _, op := range g.Ops {
-		t += perTaskIOTime(op, pl, mode)
+		t += ioTimeAt(op, pl, effBW(op, pl, mode))
 	}
 	return t
 }
 
-// pathAgg accumulates the D/BW sums per (device, direction) path.
-// Index 0 is the Spark Local device, 1 is HDFS.
-type pathAgg struct {
-	readSec  [2]float64 // Σ D_op / BW_op, device-seconds across nodes
-	writeSec [2]float64
-}
-
+// deviceIdx indexes the per-path D/BW sums: 0 is the Spark Local
+// device, 1 is HDFS.
 func deviceIdx(kind spark.OpKind) int {
 	if kind.OnLocal() {
 		return 0
@@ -191,125 +182,36 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// Predict evaluates Eq. 1 for the stage on the platform.
+// Predict evaluates Eq. 1 for the stage on the platform: the stage
+// compiled on its own and evaluated at (N, P). It does not validate.
 func (s StageModel) Predict(pl Platform, mode Mode) StagePrediction {
-	pred := StagePrediction{Name: s.Name}
-
-	// t_scale: Σ_g Count_g/(N·P) · t_avg_g + δ_scale.
-	var scaleSec float64
-	var weighted float64
-	total := 0
-	for _, g := range s.Groups {
-		tg := g.TaskTime(pl, mode).Seconds()
-		scaleSec += float64(g.Count) / float64(pl.N*pl.P) * tg
-		weighted += float64(g.Count) * tg
-		total += g.Count
-	}
-	if total > 0 {
-		pred.TAvg = units.SecDuration(weighted / float64(total))
-	}
-	pred.TScale = units.SecDuration(scaleSec) + s.DeltaScale
-
-	// I/O limit terms: Σ D/BW per (device, direction); independent
-	// devices serve their loads in parallel, so directional limits take
-	// the binding device, and a device serving both directions must fit
-	// their sum.
-	var agg pathAgg
-	for _, g := range s.Groups {
-		for _, op := range g.Ops {
-			bw := effBW(op, pl, mode)
-			if bw <= 0 || op.BytesPerTask <= 0 {
-				continue
-			}
-			vol := units.ByteSize(int64(g.Count)) * opVolume(op, pl)
-			sec := float64(vol) / float64(bw)
-			d := deviceIdx(op.Kind)
-			if op.Kind.IsRead() {
-				agg.readSec[d] += sec
-			} else {
-				agg.writeSec[d] += sec
-			}
-		}
-	}
-	n := float64(pl.N)
-	if r := maxf(agg.readSec[0], agg.readSec[1]); r > 0 {
-		pred.TReadLimit = units.SecDuration(r/n) + s.DeltaRead
-	}
-	if w := maxf(agg.writeSec[0], agg.writeSec[1]); w > 0 {
-		pred.TWriteLimit = units.SecDuration(w/n) + s.DeltaWrite
-	}
-	for d := 0; d < 2; d++ {
-		combined := agg.readSec[d] + agg.writeSec[d]
-		if combined <= 0 {
-			continue
-		}
-		lim := units.SecDuration(combined / n)
-		if agg.readSec[d] > 0 {
-			lim += s.DeltaRead
-		}
-		if agg.writeSec[d] > 0 {
-			lim += s.DeltaWrite
-		}
-		if lim > pred.TDeviceLimit {
-			pred.TDeviceLimit = lim
-		}
-	}
-
-	// t_mem_limit: heap-overflow spill through the Local device plus
-	// expected GC stalls. The same per-group expressions as the compiled
-	// path (memEnv.groupTerms), so classic and compiled stay
-	// byte-identical.
-	if me, on := pl.Memory.resolve(pl.Curves); on {
-		nf, pf := float64(pl.N), float64(pl.P)
-		var memScale, memDev float64
-		for _, g := range s.Groups {
-			a, b := me.groupTerms(float64(g.Count), me.groupWS(g), nf, pf)
-			memScale += a
-			memDev += b
-		}
-		pred.TMemLimit = units.SecDuration(maxf(memScale, memDev))
-	}
-
-	if mode == ModeNoOverlap {
-		pred.T = pred.TScale + pred.TReadLimit + pred.TWriteLimit + pred.TMemLimit
-		pred.Bottleneck = "sum"
-		return pred
-	}
-
-	pred.T = pred.TScale
-	pred.Bottleneck = "scale"
-	if pred.TReadLimit > pred.T {
-		pred.T = pred.TReadLimit
-		pred.Bottleneck = "read"
-	}
-	if pred.TWriteLimit > pred.T {
-		pred.T = pred.TWriteLimit
-		pred.Bottleneck = "write"
-	}
-	if pred.TDeviceLimit > pred.T {
-		pred.T = pred.TDeviceLimit
-		pred.Bottleneck = "device"
-	}
-	if pred.TMemLimit > 0 && pred.TMemLimit > pred.T {
-		pred.Bottleneck = "memory"
-	}
-	pred.T += pred.TMemLimit
-	return pred
+	cm := compile(AppModel{Name: s.Name, Stages: []StageModel{s}}, EnvOf(pl), mode)
+	return cm.evalStage(&cm.stages[0], pl.N, pl.P)
 }
 
 // Predict evaluates the whole application: t_app = Σ t_stage. It is a
-// thin wrapper over the compiled fast path — compile against the
-// platform's environment, evaluate at (N, P) — and returns results
-// byte-identical to evaluating StageModel.Predict per stage (the fuzz
-// target FuzzCompiledPredict holds the two paths together).
+// thin wrapper over the compiled model — compile against the
+// platform's environment, evaluate at (N, P). The fuzz target
+// FuzzCompiledPredict holds it byte-identical to classicPredict, the
+// term-by-term reference the tests keep.
 func (a AppModel) Predict(pl Platform, mode Mode) (AppPrediction, error) {
-	if err := a.Validate(); err != nil {
+	cm, err := a.compileFor(pl, mode)
+	if err != nil {
 		return AppPrediction{}, err
+	}
+	return cm.Predict(pl.N, pl.P)
+}
+
+// compileFor validates the model and the platform and compiles the
+// model against the platform's environment.
+func (a AppModel) compileFor(pl Platform, mode Mode) (*CompiledModel, error) {
+	if err := a.Validate(); err != nil {
+		return nil, err
 	}
 	if err := pl.Validate(); err != nil {
-		return AppPrediction{}, err
+		return nil, err
 	}
-	return compile(a, EnvOf(pl), mode).Predict(pl.N, pl.P)
+	return compile(a, EnvOf(pl), mode), nil
 }
 
 // ErrorRate returns |predicted-measured| / measured; it is the metric

@@ -125,7 +125,7 @@ func memvolume(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 
-	// Model twin: the same pair from StageModel.Predict, with and
+	// Model twin: the same pair from AppModel.Predict, with and
 	// without the additive t_mem_limit term.
 	modelCell := func(mk func() disk.Device, perTask units.ByteSize) (mvCell, error) {
 		model := memvolumeModel(perTask)
