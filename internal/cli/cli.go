@@ -15,6 +15,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -638,6 +639,10 @@ func parseHeapGBs(s string) ([]float64, error) {
 		}
 		if v <= 0 || v > 4096 {
 			return nil, fmt.Errorf("heap-gbs: %v outside (0, 4096]", v)
+		}
+		if slices.Contains(out, v) {
+			// The axis is a set: a repeat would list its configurations twice.
+			return nil, fmt.Errorf("heap-gbs: %v listed twice", v)
 		}
 		out = append(out, v)
 	}

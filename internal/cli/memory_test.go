@@ -46,7 +46,7 @@ func TestParseHeapGBs(t *testing.T) {
 	if got, err := parseHeapGBs(""); err != nil || got != nil {
 		t.Errorf("empty parse = %v, %v, want nil axis", got, err)
 	}
-	for _, bad := range []string{"x", "0", "-4", "5000", "4,,8"} {
+	for _, bad := range []string{"x", "0", "-4", "5000", "4,,8", "2,2", "4,16,4"} {
 		if _, err := parseHeapGBs(bad); err == nil {
 			t.Errorf("parseHeapGBs(%q) accepted", bad)
 		}

@@ -92,7 +92,7 @@ func benchSpace() Space {
 // through ModelEvaluator. The evaluator is warm — every device pair is
 // compiled before the timer starts — so this is the search alone, the
 // cost a long-lived evaluator (the experiments' shared one) pays per
-// search; BenchmarkRecommendSearch prices what serve pays per request.
+// search; BenchmarkRecommendWarm prices what serve pays per recommend.
 // Gated in docs/BENCH_model.json.
 func BenchmarkGridSearch(b *testing.B) {
 	model := benchModel()
@@ -108,12 +108,13 @@ func BenchmarkGridSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommendSearch is what serve's recommend handler does per
-// request: a fresh ModelEvaluator (serve keeps no evaluator across
-// requests, so every disk is profiled and every device pair compiled
-// inside the op), PrunedSearch over the default 64-node space with a
-// four-value heap axis and a binding deadline, then the R1 and R2
-// reference evaluations. Gated in docs/BENCH_model.json.
+// BenchmarkRecommendSearch is a recommend on a fresh ModelEvaluator,
+// so every disk is profiled and every device pair compiled inside the
+// op: what serve pays for the first recommend on a cloud calibration,
+// and what `doppio recommend` pays per run. PrunedSearch over the
+// default 64-node space with a four-value heap axis and a binding
+// deadline, then the R1 and R2 reference evaluations. Gated in
+// docs/BENCH_model.json.
 func BenchmarkRecommendSearch(b *testing.B) {
 	model := benchModel()
 	pricing := cloud.DefaultPricing()
@@ -135,6 +136,48 @@ func BenchmarkRecommendSearch(b *testing.B) {
 		for _, ref := range refs {
 			if _, err := eval.Evaluate(ref); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkRecommendWarm is what serve pays per recommend once a cloud
+// calibration's evaluator is warm: the search and the R1 and R2
+// references, on an evaluator that has compiled every device pair. One
+// op is perfbench fresh's recommend mix, six requests: heap axes of 0,
+// 2 and 4 values, each without and with a binding deadline, keeping
+// the five cheapest candidates as a serve request with top 5 does.
+// Gated in docs/BENCH_model.json.
+func BenchmarkRecommendWarm(b *testing.B) {
+	model := benchModel()
+	eval := ModelEvaluator(model)
+	pricing := cloud.DefaultPricing()
+	type request struct {
+		space Space
+		cons  Constraints
+	}
+	var reqs []request
+	for _, heaps := range [][]float64{nil, {4, 16}, {1, 4, 8, 24}} {
+		space := DefaultSpace(64)
+		space.HeapGBs = heaps
+		grid, err := GridSearch(space, eval, pricing)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs = append(reqs, request{space, Constraints{}}, request{space, Constraints{Deadline: grid[len(grid)/4].Time}})
+	}
+	refs := []cloud.ClusterSpec{cloud.R1(64, 16), cloud.R2(64, 16)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range reqs {
+			if _, err := PrunedSearchTop(r.space, eval, pricing, r.cons, 5); err != nil {
+				b.Fatal(err)
+			}
+			for _, ref := range refs {
+				if _, err := eval.Evaluate(ref); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -15,9 +15,9 @@ import (
 // default space, with and without a heap axis, on cloud-calibrated
 // models, Evaluate and EvaluateBatch must equal
 // AppModel.Predict(core.PlatformFor(spec.ClusterConfig())).Total bit
-// for bit. Each path runs on a fresh evaluator, as serve builds one per
-// recommend, and the batch path also sees the specs shuffled, so runs
-// of one device combination are broken up.
+// for bit. Each path runs on a fresh evaluator, as the first search on
+// a calibration does, and the batch path also sees the specs shuffled,
+// so runs of one device combination are broken up.
 func TestEvaluatorMatchesPerPointPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibrations + per-point predictions over the default space")
@@ -80,8 +80,8 @@ func TestEvaluatorMatchesPerPointPath(t *testing.T) {
 
 // TestEvaluatorConcurrent shares one fresh evaluator between goroutines
 // that evaluate the same heap-axis specs in different orders, so first
-// uses of a disk, a device pair and a heap race each other; every
-// result must still equal the per-point path. Run it under -race.
+// uses of a disk and a device pair race each other; every result must
+// still equal the per-point path. Run it under -race.
 func TestEvaluatorConcurrent(t *testing.T) {
 	model := benchModel()
 	space := DefaultSpace(8)

@@ -191,11 +191,17 @@ func cmpOrd[T int | float64 | time.Duration | units.ByteSize | string](a, b T) i
 // count, while the compiled path avoids paying pool overhead per
 // microsecond-scale point.
 func GridSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing) ([]Candidate, error) {
+	return gridSearch(space, eval, pricing, 0)
+}
+
+// gridSearch is GridSearch returning only the top cheapest candidates
+// (all of them when top is 0).
+func gridSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, top int) ([]Candidate, error) {
 	if space.Size() == 0 {
 		return nil, fmt.Errorf("optimizer: empty search space")
 	}
 	if be, ok := eval.(BatchEvaluator); ok {
-		return batchGrid(space, be, pricing)
+		return batchGrid(space, be, pricing, top)
 	}
 	specs := space.Specs()
 	outcomes := sweep.Map(specs, 0, func(spec cloud.ClusterSpec) (Candidate, error) {
@@ -209,8 +215,9 @@ func GridSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing) ([]Candi
 	if err != nil {
 		return nil, err
 	}
-	sortCands(out)
-	return out, nil
+	g := gridPool.Get().(*gridScratch)
+	defer gridPool.Put(g)
+	return g.top(out, top), nil
 }
 
 // candKey pairs a candidate's cost with its slab index so sorting
@@ -285,35 +292,49 @@ func sortKeys(keys []candKey, tie func(a, b int32) bool) {
 	}
 }
 
-// sortCands orders cands under candCompare in place. It sorts pooled
-// (cost, index) keys with sortKeys, then applies the order by walking
-// each cycle of the permutation once, so every candidate moves once
-// instead of at every exchange of the sort.
-func sortCands(cands []Candidate) {
-	g := gridPool.Get().(*gridScratch)
-	defer gridPool.Put(g)
-	keys := g.growKeys(len(cands))
-	for i, c := range cands {
-		keys[i] = candKey{cost: c.Cost, idx: int32(i)}
+// selectKeys returns the first k of keys under keyLess, sorted, as a
+// prefix of keys (all of keys, sorted, when k is 0 or at least
+// len(keys)). It keeps the k best keys seen so far in a max-heap at
+// the front, so each later key costs one comparison against the
+// heap's root — almost always a float compare — and a sift only when
+// it displaces the root. keyLess is a total order over distinct
+// candidates, so the k it keeps are exactly the prefix a full sort
+// would give.
+func selectKeys(keys []candKey, k int, tie func(a, b int32) bool) []candKey {
+	if k <= 0 || k >= len(keys) {
+		sortKeys(keys, tie)
+		return keys
 	}
-	sortKeys(keys, func(a, b int32) bool { return candCompare(cands[a], cands[b]) < 0 })
-	// Slot j takes the candidate at keys[j].idx; a spent key is marked -1.
-	for j := range keys {
-		if keys[j].idx < 0 {
-			continue
+	top := keys[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(top, i, tie)
+	}
+	for _, key := range keys[k:] {
+		if keyLess(key, top[0], tie) {
+			top[0] = key
+			siftDown(top, 0, tie)
 		}
-		first := cands[j]
-		cur := j
-		for {
-			src := int(keys[cur].idx)
-			keys[cur].idx = -1
-			if src == j {
-				cands[cur] = first
-				break
-			}
-			cands[cur] = cands[src]
-			cur = src
+	}
+	sortKeys(top, tie)
+	return top
+}
+
+// siftDown restores the max-heap order of h (every key no less than
+// its children under keyLess) below position i.
+func siftDown(h []candKey, i int, tie func(a, b int32) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
+		if c+1 < len(h) && keyLess(h[c], h[c+1], tie) {
+			c++
+		}
+		if !keyLess(h[i], h[c], tie) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
@@ -323,6 +344,7 @@ type gridScratch struct {
 	specs []cloud.ClusterSpec
 	outs  []time.Duration
 	keys  []candKey
+	cands []Candidate // PrunedSearchTop's feasible candidates
 }
 
 var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
@@ -344,13 +366,31 @@ func (g *gridScratch) growKeys(size int) []candKey {
 	return g.keys[:size]
 }
 
+// top returns the first k of cands under candCompare, cheapest first,
+// in a new slice (all of them when k is 0 or at least len(cands)). It
+// ranks pooled (cost, index) keys and copies each chosen candidate
+// once. cands is left as it was.
+func (g *gridScratch) top(cands []Candidate, k int) []Candidate {
+	keys := g.growKeys(len(cands))
+	for i, c := range cands {
+		keys[i] = candKey{cost: c.Cost, idx: int32(i)}
+	}
+	keys = selectKeys(keys, k, func(a, b int32) bool { return candCompare(cands[a], cands[b]) < 0 })
+	out := make([]Candidate, len(keys))
+	for j, key := range keys {
+		out[j] = cands[key.idx]
+	}
+	return out
+}
+
 // batchGrid is GridSearch for batch-capable evaluators: enumerate the
 // space device-combination-major (so EvaluateBatch sees one long run
-// per compiled environment), fill one pooled slab, price and sort. The
-// enumeration order differs from Specs() but the result does not:
-// candCompare is a total order, so sorting erases enumeration order
-// (TestGridSearchBatchMatchesPool pins the equivalence).
-func batchGrid(space Space, be BatchEvaluator, pricing cloud.Pricing) ([]Candidate, error) {
+// per compiled environment), fill one pooled slab, price, and rank the
+// top cheapest (all when top is 0). The enumeration order differs from
+// Specs() but the result does not: candCompare is a total order, so
+// ranking erases enumeration order (TestGridSearchBatchMatchesPool pins
+// the equivalence).
+func batchGrid(space Space, be BatchEvaluator, pricing cloud.Pricing, top int) ([]Candidate, error) {
 	size := space.Size()
 	g := gridPool.Get().(*gridScratch)
 	defer gridPool.Put(g)
@@ -381,7 +421,7 @@ func batchGrid(space Space, be BatchEvaluator, pricing cloud.Pricing) ([]Candida
 	if err := be.EvaluateBatch(specs, outs); err != nil {
 		return nil, err
 	}
-	// Sort (cost, index) keys instead of candidates: almost every
+	// Rank (cost, index) keys instead of candidates: almost every
 	// comparison resolves on cost alone, and the rare tie falls back to
 	// the full candCompare order, at a fraction of the moves.
 	// Price combo-major so each device pair's disk rates are derived
@@ -408,13 +448,13 @@ func batchGrid(space Space, be BatchEvaluator, pricing cloud.Pricing) ([]Candida
 			}
 		}
 	}
-	sortKeys(keys, func(a, b int32) bool {
+	keys = selectKeys(keys, top, func(a, b int32) bool {
 		return candCompare(
 			Candidate{Spec: specs[a], Time: outs[a], Cost: 0},
 			Candidate{Spec: specs[b], Time: outs[b], Cost: 0},
 		) < 0
 	})
-	cands := make([]Candidate, size)
+	cands := make([]Candidate, len(keys))
 	for j, k := range keys {
 		cands[j] = Candidate{Spec: specs[k.idx], Time: outs[k.idx], Cost: k.cost}
 	}

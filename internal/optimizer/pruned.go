@@ -37,7 +37,8 @@ func (c Constraints) admits(cand Candidate) bool {
 // the space the search actually evaluated. Evaluated + Pruned == Total
 // always holds.
 type SearchReport struct {
-	// Candidates are the feasible configurations, cheapest first.
+	// Candidates are the feasible configurations, cheapest first (only
+	// the first top of them from PrunedSearchTop).
 	Candidates []Candidate
 	// Evaluated counts model evaluations performed.
 	Evaluated int
@@ -102,12 +103,23 @@ func Filter(cands []Candidate, cons Constraints) []Candidate {
 // Unconstrained searches fall back to GridSearch wholesale (nothing can
 // be pruned) and report Evaluated == Total.
 func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons Constraints) (SearchReport, error) {
+	return PrunedSearchTop(space, eval, pricing, cons, 0)
+}
+
+// PrunedSearchTop is PrunedSearch keeping only the top cheapest
+// feasible candidates: its Candidates are exactly the first top of
+// PrunedSearch's (all of them when top is 0 or exceeds their number).
+// Evaluated, Pruned and Total do not depend on top. The search selects
+// them with a bounded heap instead of sorting every feasible
+// candidate, so a caller that shows a handful of configurations does
+// not pay for ranking the whole space.
+func PrunedSearchTop(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons Constraints, top int) (SearchReport, error) {
 	total := space.Size()
 	if total == 0 {
 		return SearchReport{}, fmt.Errorf("optimizer: empty search space")
 	}
 	if !cons.constrained() {
-		cands, err := GridSearch(space, eval, pricing)
+		cands, err := gridSearch(space, eval, pricing, top)
 		if err != nil {
 			return SearchReport{}, err
 		}
@@ -115,7 +127,26 @@ func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons C
 	}
 
 	rep := SearchReport{Total: total}
-	cands := []Candidate{} // non-nil: matches Filter on an empty result
+	g := gridPool.Get().(*gridScratch)
+	defer gridPool.Put(g)
+	g.cands = g.cands[:0]
+
+	heapAxis := len(space.HeapGBs) > 0
+	// Parallelism values, largest first (the space may list them in any
+	// order): with no heap axis the head of each P slice is its runtime
+	// lower bound.
+	vcpus := append([]int(nil), space.VCPUs...)
+	sort.Sort(sort.Reverse(sort.IntSlice(vcpus)))
+	// Heap values, largest first, for heap-axis slices: a slice's k-th
+	// point carries heaps[k].
+	sliceLen := len(vcpus)
+	var heaps []float64
+	if heapAxis {
+		heaps = append([]float64(nil), space.HeapGBs...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(heaps)))
+		sliceLen = len(heaps)
+	}
+	scope := newPairScope(eval, heaps)
 
 	// pruneSlice walks one monotone slice, descending along the axis that
 	// guarantees non-increasing runtime: the head evaluation is the
@@ -135,7 +166,7 @@ func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons C
 				rep.Pruned++
 				continue
 			}
-			d, err := eval.Evaluate(spec)
+			d, err := scope.evaluate(spec, k)
 			if err != nil {
 				return fmt.Errorf("optimizer: evaluating %v: %w", spec, err)
 			}
@@ -150,26 +181,10 @@ func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons C
 			}
 			c := Candidate{Spec: spec, Time: d, Cost: spec.Cost(d, pricing)}
 			if cons.admits(c) {
-				cands = append(cands, c)
+				g.cands = append(g.cands, c)
 			}
 		}
 		return nil
-	}
-
-	heapAxis := len(space.HeapGBs) > 0
-	// Parallelism values, largest first (the space may list them in any
-	// order): with no heap axis the head of each P slice is its runtime
-	// lower bound.
-	vcpus := append([]int(nil), space.VCPUs...)
-	sort.Sort(sort.Reverse(sort.IntSlice(vcpus)))
-	// Heap values, largest first, for heap-axis slices. Memory-free
-	// spaces skip the copy: the legacy path stays allocation-identical.
-	sliceLen := len(vcpus)
-	var heaps []float64
-	if heapAxis {
-		heaps = append([]float64(nil), space.HeapGBs...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(heaps)))
-		sliceLen = len(heaps)
 	}
 
 	slice := make([]cloud.ClusterSpec, 0, sliceLen)
@@ -181,6 +196,9 @@ func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons C
 						Slaves:   space.Slaves,
 						HDFSType: ht, HDFSSize: hs,
 						LocalType: lt, LocalSize: ls,
+					}
+					if err := scope.bind(base); err != nil {
+						return SearchReport{}, err
 					}
 					if !heapAxis {
 						slice = slice[:0]
@@ -210,7 +228,6 @@ func PrunedSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, cons C
 			}
 		}
 	}
-	sortCands(cands)
-	rep.Candidates = cands
+	rep.Candidates = g.top(g.cands, top)
 	return rep, nil
 }

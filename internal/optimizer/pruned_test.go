@@ -312,16 +312,18 @@ func BenchmarkPrunedSearch(b *testing.B) {
 	}
 }
 
-// TestSortCandsMatchesCompareSort checks the keyed sort against a
+// TestSortCandsMatchesCompareSort checks the keyed ranking against a
 // comparison sort under candCompare, on candidates drawn from few
 // costs and runtimes so that most comparisons fall through to the
-// tie-breaks.
+// tie-breaks. The full ranking must equal the sort, and the top-K
+// selection for every K in {1, 5, n-1, n, n+10} must be exactly the
+// sort's first K, leaving its input as it was.
 func TestSortCandsMatchesCompareSort(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	space := DefaultSpace(4)
 	space.HeapGBs = []float64{2, 8}
 	specs := space.Specs()
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		n := r.Intn(len(specs) + 1)
 		cands := make([]Candidate, n)
 		for i := range cands {
@@ -331,11 +333,73 @@ func TestSortCandsMatchesCompareSort(t *testing.T) {
 				Cost: float64(r.Intn(4)),
 			}
 		}
+		in := slices.Clone(cands)
 		want := slices.Clone(cands)
 		slices.SortFunc(want, candCompare)
-		sortCands(cands)
-		if !reflect.DeepEqual(cands, want) {
+		if got := new(gridScratch).top(cands, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d): keyed sort diverges from candCompare order", trial, n)
+		}
+		for _, k := range []int{1, 5, n - 1, n, n + 10} {
+			if k < 1 {
+				continue // k = 0 asks for every candidate, checked above
+			}
+			if got := new(gridScratch).top(cands, k); !reflect.DeepEqual(got, want[:min(k, n)]) {
+				t.Fatalf("trial %d (n=%d, k=%d): selection is not the sort's prefix", trial, n, k)
+			}
+			if !reflect.DeepEqual(cands, in) {
+				t.Fatalf("trial %d (n=%d, k=%d): selection reordered its input", trial, n, k)
+			}
+		}
+	}
+}
+
+// TestPrunedSearchTopIsPrefix checks PrunedSearchTop on the compiled
+// evaluator against PrunedSearch through the per-spec Evaluate path:
+// the candidates must be the full list's first top, and the
+// accounting must not move. It covers the memory-free and heap-axis
+// spaces, the unconstrained grid, a deadline, a budget, and a deadline
+// that admits fewer candidates than top.
+func TestPrunedSearchTopIsPrefix(t *testing.T) {
+	model := benchModel()
+	pricing := cloud.DefaultPricing()
+	for _, heaps := range [][]float64{nil, {32, 0.5, 7.5, 2}} {
+		space := DefaultSpace(12)
+		space.HeapGBs = heaps
+		eval := ModelEvaluator(model)
+		perSpec := Evaluator(eval.Evaluate)
+		grid, err := GridSearch(space, perSpec, pricing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times := make([]time.Duration, len(grid))
+		for i, c := range grid {
+			times[i] = c.Time
+		}
+		slices.Sort(times)
+		scarce := Constraints{Deadline: times[2]}
+		for _, cons := range []Constraints{{}, {Deadline: grid[len(grid)/4].Time}, {Budget: grid[len(grid)/2].Cost}, scarce} {
+			full, err := PrunedSearch(space, perSpec, pricing, cons)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cons == scarce && len(full.Candidates) >= 5 {
+				t.Fatalf("heaps %v: deadline %v admits %d candidates, want fewer than 5", heaps, cons.Deadline, len(full.Candidates))
+			}
+			for _, top := range []int{0, 1, 5, 50, len(grid) + 10} {
+				got, err := PrunedSearchTop(space, eval, pricing, cons, top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := full
+				if top > 0 && top < len(want.Candidates) {
+					want.Candidates = want.Candidates[:top]
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("heaps %v, %+v, top %d: got %d candidates (evaluated %d, pruned %d), want %d (evaluated %d, pruned %d)",
+						heaps, cons, top, len(got.Candidates), got.Evaluated, got.Pruned,
+						len(want.Candidates), want.Evaluated, want.Pruned)
+				}
+			}
 		}
 	}
 }

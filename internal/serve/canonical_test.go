@@ -57,6 +57,20 @@ func TestCanonicalShardKeyDefaultsCollapse(t *testing.T) {
 	}
 }
 
+// TestCanonicalShardKeyHeapOrder pins that a recommend's heap axis
+// shards as a set: its values in any order give one key, the key the
+// replica caches the answer under.
+func TestCanonicalShardKeyHeapOrder(t *testing.T) {
+	a, ok1 := CanonicalShardKey("POST", "/api/v1/recommend", []byte(`{"workload":"sql","heap_gbs":[2,4,0.5]}`))
+	b, ok2 := CanonicalShardKey("POST", "/api/v1/recommend", []byte(`{"workload":"sql","heap_gbs":[0.5,2,4]}`))
+	if !ok1 || !ok2 {
+		t.Fatal("CanonicalShardKey not ok")
+	}
+	if a != b {
+		t.Errorf("heap order changed the shard key:\n  %q\n  %q", a, b)
+	}
+}
+
 func TestCanonicalShardKeyRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -70,6 +84,7 @@ func TestCanonicalShardKeyRejects(t *testing.T) {
 		{"unknown field", "POST", "/api/v1/predict", `{"workload":"lr-small","slave":10}`},
 		{"invalid value", "POST", "/api/v1/predict", `{"workload":"lr-small","slaves":-4}`},
 		{"trailing garbage", "POST", "/api/v1/predict", `{"workload":"lr-small"} x`},
+		{"repeated heap", "POST", "/api/v1/recommend", `{"workload":"sql","slaves":10,"top":4,"heap_gbs":[2,2]}`},
 	} {
 		if key, ok := CanonicalShardKey(tc.method, tc.path, []byte(tc.body)); ok {
 			t.Errorf("%s: unexpectedly canonicalized to %q", tc.name, key)

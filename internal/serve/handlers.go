@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -228,6 +229,34 @@ func (s *Server) cloudCalibration(workload string) (*core.Calibration, error) {
 		return nil, err
 	}
 	return v.(*core.Calibration), nil
+}
+
+// cloudEval is a cloud calibration's search evaluator: its disk curves
+// and memory-free device-pair compiles, built for exactly that
+// calibration object.
+type cloudEval struct {
+	cal  *core.Calibration
+	eval *optimizer.CompiledEvaluator
+}
+
+// cloudEvaluator returns the recommend evaluator of a workload's cloud
+// calibration. The evaluator is a pure function of the calibrated
+// model and outlives the request, so recommends after the first on a
+// calibration pay only for their search. It is rebuilt whenever the
+// cache hands out a different calibration object (after an eviction
+// and recalibration, or a snapshot restore). The set holds one
+// evaluator per workload, and each holds at most the disks and device
+// pairs of DefaultSpace plus R1 and R2: heap variants stay local to
+// each search.
+func (s *Server) cloudEvaluator(workload string, cal *core.Calibration) *optimizer.CompiledEvaluator {
+	s.cloudEvalMu.Lock()
+	defer s.cloudEvalMu.Unlock()
+	if e, ok := s.cloudEvals[workload]; ok && e.cal == cal {
+		return e.eval
+	}
+	e := cloudEval{cal: cal, eval: optimizer.ModelEvaluator(cal.Model)}
+	s.cloudEvals[workload] = e
+	return e.eval
 }
 
 func parseMode(s string) (core.Mode, error) {
@@ -735,6 +764,15 @@ func (req *RecommendRequest) normalize() error {
 			return fmt.Errorf("heap_gbs value %v outside (0, 4096]", h)
 		}
 	}
+	// The axis is a set: its order does not change the answer, so one
+	// order gives every spelling one cache and shard key, and a repeated
+	// value would list each of its configurations twice.
+	sort.Float64s(req.HeapGBs)
+	for i := 1; i < len(req.HeapGBs); i++ {
+		if req.HeapGBs[i] == req.HeapGBs[i-1] {
+			return fmt.Errorf("heap_gbs lists %v twice", req.HeapGBs[i])
+		}
+	}
 	return nil
 }
 
@@ -814,12 +852,12 @@ func (s *Server) computeRecommend(req RecommendRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	eval := optimizer.ModelEvaluator(cal.Model)
+	eval := s.cloudEvaluator(req.Workload, cal)
 	pricing := cloud.DefaultPricing()
 	space := optimizer.DefaultSpace(req.Slaves)
 	space.HeapGBs = req.HeapGBs
 	cons := optimizer.Constraints{Deadline: time.Duration(req.DeadlineMinutes * float64(time.Minute))}
-	rep, err := optimizer.PrunedSearch(space, eval, pricing, cons)
+	rep, err := optimizer.PrunedSearchTop(space, eval, pricing, cons, req.Top)
 	if err != nil {
 		return nil, err
 	}
@@ -830,10 +868,7 @@ func (s *Server) computeRecommend(req RecommendRequest) ([]byte, error) {
 		Workload: req.Workload, Slaves: req.Slaves, SpaceSize: space.Size(),
 		Evaluated: rep.Evaluated, Pruned: rep.Pruned,
 	}
-	for i, c := range cands {
-		if i >= req.Top {
-			break
-		}
+	for _, c := range cands {
 		resp.Best = append(resp.Best, candidateJSON(c))
 	}
 	for _, ref := range []struct {

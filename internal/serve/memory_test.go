@@ -112,7 +112,8 @@ func TestRecommendHeapAxis(t *testing.T) {
 	}
 }
 
-// TestHeapValidation rejects out-of-range heap parameters.
+// TestHeapValidation rejects out-of-range heap parameters and a
+// repeated heap_gbs value.
 func TestHeapValidation(t *testing.T) {
 	s := newTestServer(t, nil)
 	for _, tc := range []struct{ route, body string }{
@@ -120,6 +121,7 @@ func TestHeapValidation(t *testing.T) {
 		{"/api/v1/predict", `{"workload":"terasort","heap_gb":5000}`},
 		{"/api/v1/recommend", `{"workload":"terasort","heap_gbs":[0]}`},
 		{"/api/v1/recommend", `{"workload":"terasort","heap_gbs":[-2]}`},
+		{"/api/v1/recommend", `{"workload":"sql","slaves":10,"top":4,"heap_gbs":[2,2]}`},
 	} {
 		rec := post(t, s.Handler(), tc.route, tc.body)
 		if rec.Code != 400 {

@@ -183,6 +183,9 @@ type Server struct {
 	peekRequests *obs.CounterVec // doppio_peek_requests_total{result}
 	readThroughs *obs.CounterVec // doppio_peer_readthrough_total{result}
 
+	cloudEvalMu sync.Mutex
+	cloudEvals  map[string]cloudEval // by workload, under cloudEvalMu; see cloudEvaluator
+
 	logMu sync.Mutex
 
 	started chan struct{}
@@ -206,6 +209,8 @@ func New(cfg Config) (*Server, error) {
 		cache:   newLRU(cfg.CacheEntries),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		started: make(chan struct{}),
+
+		cloudEvals: make(map[string]cloudEval),
 	}
 	s.requests = s.reg.NewCounterVec("doppio_http_requests_total",
 		"Requests served, by route and status code.", "route", "code")

@@ -267,23 +267,137 @@ func TestRecommendRoute(t *testing.T) {
 	}
 }
 
+// recommendGoldens are the recommend requests TestRecommendGolden pins.
+var recommendGoldens = []struct{ name, body string }{
+	{"recommend_sql_heap_deadline", `{"workload":"sql","slaves":10,"top":5,"deadline_minutes":4,"heap_gbs":[0.5,2,7.5,32]}`},
+	{"recommend_lr_small", `{"workload":"lr-small","slaves":3,"top":3}`},
+}
+
 // TestRecommendGolden pins recommend responses byte for byte: one
 // request with a heap axis and a binding deadline (the pruned,
-// memory-aware search) and one with neither (the full grid).
+// memory-aware search) and one with neither (the full grid). A
+// calibration's evaluator outlives the request, so the subtests demand
+// the same bytes from a long-lived one: after other recommends have
+// used it, from goroutines racing on it, and after the calibration has
+// been evicted and its evaluator rebuilt.
 func TestRecommendGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid search over the full cloud space")
 	}
 	s := newTestServer(t, nil)
-	for _, tc := range []struct{ name, body string }{
-		{"recommend_sql_heap_deadline", `{"workload":"sql","slaves":10,"top":5,"deadline_minutes":4,"heap_gbs":[0.5,2,7.5,32]}`},
-		{"recommend_lr_small", `{"workload":"lr-small","slaves":3,"top":3}`},
-	} {
+	for _, tc := range recommendGoldens {
 		rec := post(t, s.Handler(), "/api/v1/recommend", tc.body)
 		if rec.Code != 200 {
 			t.Fatalf("%s: status = %d: %s", tc.name, rec.Code, rec.Body)
 		}
 		checkGolden(t, tc.name, rec.Body.Bytes())
+	}
+
+	t.Run("after-other-recommends", func(t *testing.T) {
+		s := newTestServer(t, nil)
+		heaps := []string{"", `,"heap_gbs":[1,4]`, `,"heap_gbs":[0.5,2,7.5,32]`, `,"heap_gbs":[3,6,12,24]`}
+		for i := 0; i < 24; i++ {
+			deadline := ""
+			if i%3 == 0 {
+				deadline = fmt.Sprintf(`,"deadline_minutes":%d`, 2+i)
+			}
+			for _, w := range []string{"sql", "lr-small"} {
+				body := fmt.Sprintf(`{"workload":%q,"slaves":%d,"top":%d%s%s}`, w, 2+5*i, 1+i%12, deadline, heaps[i%len(heaps)])
+				if rec := post(t, s.Handler(), "/api/v1/recommend", body); rec.Code != 200 {
+					t.Fatalf("%s: status = %d: %s", body, rec.Code, rec.Body)
+				}
+			}
+		}
+		for _, tc := range recommendGoldens {
+			rec := post(t, s.Handler(), "/api/v1/recommend", tc.body)
+			if rec.Code != 200 {
+				t.Fatalf("%s: status = %d: %s", tc.name, rec.Code, rec.Body)
+			}
+			checkGolden(t, tc.name, rec.Body.Bytes())
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		// computeRecommend bypasses the result cache, which would let one
+		// goroutine compute each golden while the others wait: here every
+		// goroutine searches on the shared evaluator, first uses included.
+		s := newTestServer(t, nil)
+		reqs := make([]RecommendRequest, len(recommendGoldens))
+		for i, tc := range recommendGoldens {
+			if err := json.Unmarshal([]byte(tc.body), &reqs[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := reqs[i].normalize(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const goroutines = 8
+		bodies := make([][][]byte, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				bodies[g] = make([][]byte, len(reqs))
+				for k := range reqs {
+					i := (g + k) % len(reqs)
+					if bodies[g][i], errs[g] = s.computeRecommend(reqs[i]); errs[g] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for g := 0; g < goroutines; g++ {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			for i, tc := range recommendGoldens {
+				checkGolden(t, tc.name, bodies[g][i])
+			}
+		}
+	})
+
+	t.Run("evicted-calibration", func(t *testing.T) {
+		// Two entries: each recommend's calibration and result push the
+		// previous workload's out.
+		s := newTestServer(t, func(c *Config) { c.CacheEntries = 2 })
+		first, last := recommendGoldens[0], recommendGoldens[len(recommendGoldens)-1]
+		rec := post(t, s.Handler(), "/api/v1/recommend", first.body)
+		if rec.Code != 200 {
+			t.Fatalf("%s: status = %d: %s", first.name, rec.Code, rec.Body)
+		}
+		before := s.cloudEvals["sql"]
+		if rec := post(t, s.Handler(), "/api/v1/recommend", last.body); rec.Code != 200 {
+			t.Fatalf("%s: status = %d: %s", last.name, rec.Code, rec.Body)
+		}
+		rec = post(t, s.Handler(), "/api/v1/recommend", first.body)
+		if rec.Code != 200 {
+			t.Fatalf("%s: status = %d: %s", first.name, rec.Code, rec.Body)
+		}
+		if after := s.cloudEvals["sql"]; after.cal == before.cal || after.eval == before.eval {
+			t.Fatal("the sql calibration was not rebuilt, or its evaluator was kept")
+		}
+		checkGolden(t, first.name, rec.Body.Bytes())
+	})
+}
+
+// TestRecommendHeapOrderSharesEntry checks heap_gbs is keyed as a set:
+// the order of its values changes neither the answer nor the cache
+// entry.
+func TestRecommendHeapOrderSharesEntry(t *testing.T) {
+	s := newTestServer(t, nil)
+	a := post(t, s.Handler(), "/api/v1/recommend", `{"workload":"lr-small","slaves":3,"top":3,"heap_gbs":[2,4]}`)
+	b := post(t, s.Handler(), "/api/v1/recommend", `{"workload":"lr-small","slaves":3,"top":3,"heap_gbs":[4,2]}`)
+	if a.Code != 200 || b.Code != 200 {
+		t.Fatalf("status = %d, %d", a.Code, b.Code)
+	}
+	if a.Body.String() != b.Body.String() {
+		t.Errorf("heap order changed the answer:\n%s\n%s", a.Body, b.Body)
+	}
+	if got := b.Header().Get("X-Cache"); got != "hit" {
+		t.Errorf("reordered heap_gbs: X-Cache = %q, want hit", got)
 	}
 }
 
