@@ -350,6 +350,28 @@ func (c *CompiledModel) Total(n, p int) (time.Duration, error) {
 	return total, nil
 }
 
+// MemTotal evaluates the memory part of t_app for one shape without
+// allocating: Σ_j t_mem_limit_j, zero when the memory model is off.
+// Eq. 1 adds t_mem_limit to every stage's memory-free time, and stage
+// times are int64 Durations, so with free = c.WithMemory(MemParams{})
+//
+//	c.Total(n, p) == free.Total(n, p) + c.MemTotal(n, p)
+//
+// holds exactly (FuzzCompiledPredict checks it). The memory part reads
+// the model's group counts and I/O bytes, the shape, the memory
+// parameters and the Local curves, never the HDFS curves, so one
+// variant per Local disk and heap prices it for every HDFS disk.
+func (c *CompiledModel) MemTotal(n, p int) (time.Duration, error) {
+	if err := checkShape(n, p); err != nil || !c.memOn {
+		return 0, err
+	}
+	var total time.Duration
+	for i := range c.stages {
+		total += c.memLimit(&c.stages[i], n, p)
+	}
+	return total, nil
+}
+
 // PredictBatch evaluates t_app for every shape, writing results into
 // the caller-provided slab. It allocates nothing (the slab is sized by
 // the caller, typically reused across batches), making it the

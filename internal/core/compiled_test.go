@@ -301,6 +301,9 @@ func TestPredictBatchErrors(t *testing.T) {
 	if _, err := cm.Total(-1, 4); err == nil {
 		t.Error("negative N accepted")
 	}
+	if _, err := cm.MemTotal(3, -2); err == nil {
+		t.Error("MemTotal accepted a negative P")
+	}
 }
 
 func TestCompileValidates(t *testing.T) {

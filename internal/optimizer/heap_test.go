@@ -101,17 +101,17 @@ func heapSpace(slaves int) Space {
 	}
 }
 
-// TestGridSearchBatchMatchesPoolHeap pins the batch/pool equivalence —
-// including the inline cost expression mirroring ClusterSpec.Cost bit
-// for bit — on a space with a heap axis, where the memory term and the
-// memory price are both live.
+// TestGridSearchBatchMatchesPoolHeap pins the walk/pool equivalence on
+// a space with a heap axis, where the memory part of Eq. 1 (priced once
+// per Local disk, heap and P by the walk) and the memory price are both
+// live.
 func TestGridSearchBatchMatchesPoolHeap(t *testing.T) {
 	model := calibrateOnCloud(t)
 	eval := ModelEvaluator(model)
 	space := heapSpace(10)
 	pricing := cloud.DefaultPricing()
 
-	batch, err := GridSearch(space, eval, pricing)
+	walk, err := GridSearch(space, eval, pricing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestGridSearchBatchMatchesPoolHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(batch, pool) {
-		t.Fatalf("batch and pool grid searches diverge on the heap axis:\n batch %+v\n pool  %+v", batch[0], pool[0])
+	if !reflect.DeepEqual(walk, pool) {
+		t.Fatalf("walk and pool grid searches diverge on the heap axis:\n walk %+v\n pool %+v", walk[0], pool[0])
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
 	"repro/internal/experiments/sweep"
 	"repro/internal/spark"
 	"repro/internal/units"
@@ -22,18 +23,6 @@ import (
 // searches fan evaluations out over a worker pool.
 type SpecEvaluator interface {
 	Evaluate(spec cloud.ClusterSpec) (time.Duration, error)
-}
-
-// BatchEvaluator is a SpecEvaluator that can additionally fill a whole
-// slab of predictions at once. GridSearch and PrunedSearch detect it
-// and route entire subspaces through one call — the compiled-model fast
-// path (see CompiledEvaluator).
-type BatchEvaluator interface {
-	SpecEvaluator
-	// EvaluateBatch writes the runtime of specs[i] to out[i]. out must
-	// have at least len(specs) slots. Callers get the best throughput
-	// when specs sharing a device combination are adjacent.
-	EvaluateBatch(specs []cloud.ClusterSpec, out []time.Duration) error
 }
 
 // Evaluator is the plain-function evaluator form (the simulator-backed
@@ -184,40 +173,29 @@ func cmpOrd[T int | float64 | time.Duration | units.ByteSize | string](a, b T) i
 }
 
 // GridSearch evaluates the full space and returns candidates sorted
-// cheapest-first under the candCompare total order. A BatchEvaluator
-// (the compiled model) is routed subspace-at-a-time through
-// EvaluateBatch; any other evaluator fans out over a GOMAXPROCS-sized
-// worker pool — each simulator-backed evaluation gains the full core
-// count, while the compiled path avoids paying pool overhead per
-// microsecond-scale point.
+// cheapest-first under the candCompare total order: PrunedSearch
+// without constraints. On a CompiledEvaluator it is the search walk
+// (see pairScope); any other evaluator fans out over a
+// GOMAXPROCS-sized worker pool, so each simulator-backed evaluation
+// gains the full core count. Ranking erases enumeration order, since
+// candCompare is a total order, so both give the same list
+// (TestGridSearchBatchMatchesPool pins the equivalence).
 func GridSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing) ([]Candidate, error) {
-	return gridSearch(space, eval, pricing, 0)
+	rep, err := PrunedSearchTop(space, eval, pricing, Constraints{}, 0)
+	return rep.Candidates, err
 }
 
-// gridSearch is GridSearch returning only the top cheapest candidates
-// (all of them when top is 0).
-func gridSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing, top int) ([]Candidate, error) {
-	if space.Size() == 0 {
-		return nil, fmt.Errorf("optimizer: empty search space")
-	}
-	if be, ok := eval.(BatchEvaluator); ok {
-		return batchGrid(space, be, pricing, top)
-	}
-	specs := space.Specs()
-	outcomes := sweep.Map(specs, 0, func(spec cloud.ClusterSpec) (Candidate, error) {
+// poolSearch evaluates and prices every spec of the space through the
+// worker pool, in Specs order.
+func poolSearch(space Space, eval SpecEvaluator, pricing cloud.Pricing) ([]Candidate, error) {
+	outcomes := sweep.Map(space.Specs(), 0, func(spec cloud.ClusterSpec) (Candidate, error) {
 		d, err := eval.Evaluate(spec)
 		if err != nil {
 			return Candidate{}, fmt.Errorf("optimizer: evaluating %v: %w", spec, err)
 		}
 		return Candidate{Spec: spec, Time: d, Cost: spec.Cost(d, pricing)}, nil
 	})
-	out, err := sweep.Values(outcomes)
-	if err != nil {
-		return nil, err
-	}
-	g := gridPool.Get().(*gridScratch)
-	defer gridPool.Put(g)
-	return g.top(out, top), nil
+	return sweep.Values(outcomes)
 }
 
 // candKey pairs a candidate's cost with its slab index so sorting
@@ -339,31 +317,28 @@ func siftDown(h []candKey, i int, tie func(a, b int32) bool) {
 }
 
 // gridScratch is the searches' reusable working set; pooling it makes
-// the steady-state search allocate only the returned candidate slice.
+// the steady-state search allocate only the returned candidate slice
+// and its heap variants.
 type gridScratch struct {
-	specs []cloud.ClusterSpec
-	outs  []time.Duration
 	keys  []candKey
-	cands []Candidate // PrunedSearchTop's feasible candidates
+	cands []Candidate // the walk's feasible candidates
+	// The walk's axes and pairScope's tables.
+	vcpus  []int
+	heaps  []float64
+	shapes []core.Shape
+	free   []time.Duration
+	mem    []time.Duration
 }
 
 var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
 
-func (g *gridScratch) grow(size int) {
-	if cap(g.specs) < size {
-		g.specs = make([]cloud.ClusterSpec, 0, size)
-		g.outs = make([]time.Duration, size)
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	g.specs = g.specs[:0]
-	g.growKeys(size)
-}
-
-// growKeys returns size key slots.
-func (g *gridScratch) growKeys(size int) []candKey {
-	if cap(g.keys) < size {
-		g.keys = make([]candKey, size)
-	}
-	return g.keys[:size]
+	return s[:n]
 }
 
 // top returns the first k of cands under candCompare, cheapest first,
@@ -371,7 +346,8 @@ func (g *gridScratch) growKeys(size int) []candKey {
 // ranks pooled (cost, index) keys and copies each chosen candidate
 // once. cands is left as it was.
 func (g *gridScratch) top(cands []Candidate, k int) []Candidate {
-	keys := g.growKeys(len(cands))
+	keys := grow(g.keys, len(cands))
+	g.keys = keys
 	for i, c := range cands {
 		keys[i] = candKey{cost: c.Cost, idx: int32(i)}
 	}
@@ -381,84 +357,6 @@ func (g *gridScratch) top(cands []Candidate, k int) []Candidate {
 		out[j] = cands[key.idx]
 	}
 	return out
-}
-
-// batchGrid is GridSearch for batch-capable evaluators: enumerate the
-// space device-combination-major (so EvaluateBatch sees one long run
-// per compiled environment), fill one pooled slab, price, and rank the
-// top cheapest (all when top is 0). The enumeration order differs from
-// Specs() but the result does not: candCompare is a total order, so
-// ranking erases enumeration order (TestGridSearchBatchMatchesPool pins
-// the equivalence).
-func batchGrid(space Space, be BatchEvaluator, pricing cloud.Pricing, top int) ([]Candidate, error) {
-	size := space.Size()
-	g := gridPool.Get().(*gridScratch)
-	defer gridPool.Put(g)
-	g.grow(size)
-	// The heap axis sits with the device loops: HeapGB is part of the
-	// compiled environment (it changes the model, not just the shape), so
-	// keeping each (devices, heap) run contiguous lets EvaluateBatch
-	// reuse one compilation per run.
-	for _, ht := range space.HDFSTypes {
-		for _, hs := range space.HDFSSizes {
-			for _, lt := range space.LocalTypes {
-				for _, ls := range space.LocalSizes {
-					for _, hp := range space.heaps() {
-						for _, v := range space.VCPUs {
-							g.specs = append(g.specs, cloud.ClusterSpec{
-								Slaves: space.Slaves, VCPUs: v,
-								HDFSType: ht, HDFSSize: hs,
-								LocalType: lt, LocalSize: ls,
-								HeapGB: hp,
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	specs, outs := g.specs, g.outs[:size]
-	if err := be.EvaluateBatch(specs, outs); err != nil {
-		return nil, err
-	}
-	// Rank (cost, index) keys instead of candidates: almost every
-	// comparison resolves on cost alone, and the rare tie falls back to
-	// the full candCompare order, at a fraction of the moves.
-	// Price combo-major so each device pair's disk rates are derived
-	// once; the expression tree per point is exactly ClusterSpec.Cost's
-	// ((v·rate + dh + dl)·slaves)·hours, so the keys match the pool
-	// path's costs bit for bit.
-	keys := g.keys[:size]
-	slavesF := float64(space.Slaves)
-	i := 0
-	for _, ht := range space.HDFSTypes {
-		for _, hs := range space.HDFSSizes {
-			dh := pricing.DiskDollarsPerHour(ht, hs)
-			for _, lt := range space.LocalTypes {
-				for _, ls := range space.LocalSizes {
-					dl := pricing.DiskDollarsPerHour(lt, ls)
-					for _, hp := range space.heaps() {
-						for _, v := range space.VCPUs {
-							perNode := float64(v)*pricing.VCPUPerHour + hp*pricing.MemoryGBPerHour + dh + dl
-							keys[i] = candKey{cost: perNode * slavesF * outs[i].Hours(), idx: int32(i)}
-							i++
-						}
-					}
-				}
-			}
-		}
-	}
-	keys = selectKeys(keys, top, func(a, b int32) bool {
-		return candCompare(
-			Candidate{Spec: specs[a], Time: outs[a], Cost: 0},
-			Candidate{Spec: specs[b], Time: outs[b], Cost: 0},
-		) < 0
-	})
-	cands := make([]Candidate, len(keys))
-	for j, k := range keys {
-		cands[j] = Candidate{Spec: specs[k.idx], Time: outs[k.idx], Cost: k.cost}
-	}
-	return cands, nil
 }
 
 // Best returns the cheapest candidate of a sorted or unsorted list

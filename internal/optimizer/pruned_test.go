@@ -201,28 +201,30 @@ func TestPrunedUnconstrainedEqualsGrid(t *testing.T) {
 	}
 }
 
-// TestGridSearchBatchMatchesPool pins the tentpole equivalence: the
-// batch fast path (CompiledEvaluator through EvaluateBatch, keyed sort)
-// and the classic worker-pool path over the same evaluator produce
-// byte-identical candidate lists on the full default space.
+// TestGridSearchBatchMatchesPool pins the equivalence of the search
+// walk (a CompiledEvaluator's pairs priced through PredictBatch and
+// MemTotal) and the classic worker-pool path (per-spec Evaluate) over
+// the same evaluator: byte-identical candidate lists on the full
+// default space.
 func TestGridSearchBatchMatchesPool(t *testing.T) {
 	model := calibrateOnCloud(t)
 	eval := ModelEvaluator(model)
 	space := DefaultSpace(10)
 	pricing := cloud.DefaultPricing()
 
-	batch, err := GridSearch(space, eval, pricing)
+	walk, err := GridSearch(space, eval, pricing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wrapping the method in the plain function type hides EvaluateBatch,
-	// forcing the classic path over the identical predictions.
+	// Wrapping the method in the plain function type hides the
+	// CompiledEvaluator, forcing the pool path over the identical
+	// predictions.
 	pool, err := GridSearch(space, Evaluator(eval.Evaluate), pricing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(batch, pool) {
-		t.Fatalf("batch and pool grid searches diverge:\n batch %+v\n pool  %+v", batch[0], pool[0])
+	if !reflect.DeepEqual(walk, pool) {
+		t.Fatalf("walk and pool grid searches diverge:\n walk %+v\n pool %+v", walk[0], pool[0])
 	}
 }
 
