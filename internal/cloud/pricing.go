@@ -99,9 +99,8 @@ func (s ClusterSpec) ClusterConfig() spark.ClusterConfig {
 	return cfg
 }
 
-// DollarsPerHour is the spec's burn rate. The expression order matches
-// the optimizer's inline batch pricing term for term, so both paths
-// produce bit-identical costs.
+// DollarsPerHour is the spec's burn rate. It is the one cost
+// expression: every optimizer search prices candidates through Cost.
 func (s ClusterSpec) DollarsPerHour(p Pricing) float64 {
 	perNode := float64(s.VCPUs)*p.VCPUPerHour +
 		s.HeapGB*p.MemoryGBPerHour +
