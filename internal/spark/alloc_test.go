@@ -25,13 +25,14 @@ func allocApp(tasks int) App {
 }
 
 // extraAllocsOnDoubling returns how many more allocations a run of
-// allocApp(1024) makes on cfg than a run of allocApp(512).
+// allocApp(1024) makes on cfg than a run of allocApp(512), each on a
+// fresh Runner so a collection emptying Run's park cannot skew one side.
 func extraAllocsOnDoubling(t *testing.T, cfg ClusterConfig) (extra, small, large float64) {
 	t.Helper()
 	allocs := func(tasks int) float64 {
 		a := allocApp(tasks)
 		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(cfg, a); err != nil {
+			if _, err := new(Runner).Run(cfg, a); err != nil {
 				t.Fatal(err)
 			}
 		})

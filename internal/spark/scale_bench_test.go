@@ -4,7 +4,8 @@ package spark
 // >100k tasks), a mid-size jittered run, the memory layer's spill path
 // and a degraded run at a product shape. docs/BENCH_simcore.json and
 // docs/BENCH_simfault.json gate them — refreshing the baselines is
-// described in docs/PERF.md.
+// described in docs/PERF.md. Each op runs on a fresh Runner, not
+// through Run's park, so it prices a whole simulation, setup included.
 //
 //	go test -bench 'BenchmarkSim' -benchmem -run '^$' ./internal/spark
 
@@ -65,7 +66,7 @@ func BenchmarkSimScalePerTask(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, app)
+		res, err := new(Runner).Run(cfg, app)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func BenchmarkSimMedium(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, app); err != nil {
+		if _, err := new(Runner).Run(cfg, app); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +121,7 @@ func BenchmarkSimFaultPerTask(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, app)
+		res, err := new(Runner).Run(cfg, app)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func BenchmarkSimMemSpill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, app)
+		res, err := new(Runner).Run(cfg, app)
 		if err != nil {
 			b.Fatal(err)
 		}
