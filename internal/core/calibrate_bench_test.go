@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/disk"
@@ -41,6 +42,12 @@ func BenchmarkCalibrate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, p := range coldPairs {
+			// Each calibration starts on an empty simulator park, as after
+			// a collection, so B/op and allocs/op price one fresh
+			// simulator per pair whenever the collector runs.
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
 			base := spark.DefaultTestbed(p.slaves, 1, ssd, ssd)
 			if _, err := Calibrate(base, ssd, hdd, builds[j]); err != nil {
 				b.Fatalf("%s at %d slaves: %v", p.workload, p.slaves, err)
