@@ -2,13 +2,16 @@
 // campaign killed with SIGKILL mid-run loses nothing and wastes nothing.
 // Using a built doppio binary it
 //
-//  1. runs a small study uninterrupted and merges its checkpoint into a
+//  1. runs a small model-mode study uninterrupted, gates that every
+//     point carries a prediction, and merges its checkpoint into a
 //     reference report + BENCH-style trend JSON;
 //  2. starts the same study fresh, waits until a handful of points are
-//     durably checkpointed, SIGKILLs the process, and resumes with
-//     -resume — gating that the resumed run skipped exactly the
-//     checkpointed points and executed exactly the remainder (zero
-//     recomputed-point waste above the in-flight window);
+//     durably checkpointed, SIGKILLs the process (typically while it
+//     calibrates its second workload ahead of that workload's points),
+//     and resumes with -resume — gating that the resumed run skipped
+//     exactly the checkpointed points and executed exactly the
+//     remainder (zero recomputed-point waste above the in-flight
+//     window);
 //  3. gates that every point appears exactly once in the resumed
 //     checkpoint and that the merged report and trend JSON are
 //     byte-identical to the uninterrupted run's;
@@ -39,13 +42,17 @@ import (
 	"time"
 )
 
-// studyJSON is sized so points are expensive enough (~0.3-1s of
-// simulated pagerank each) that SIGKILL reliably lands mid-run, and the
-// whole smoke still finishes in well under a minute.
+// studyJSON is a model-mode study of two workloads. Its sql points take
+// milliseconds, so the kill lands while the run calibrates pagerank
+// (~0.4s) ahead of pagerank's points; those points are expensive enough
+// (~0.1-0.5s of simulation each) that plenty of work remains. The whole
+// smoke still finishes in well under a minute.
 const studyJSON = `{
   "name": "smoke",
-  "base": {"workload": "pagerank", "max_task_failures": 8},
+  "mode": "model",
+  "base": {"max_task_failures": 8},
   "axes": {
+    "workloads": ["sql", "pagerank"],
     "cores": [4, 8],
     "fetch_fail_probs": [0, 0.02],
     "data_scales": [1, 2],
@@ -54,7 +61,7 @@ const studyJSON = `{
   "parallel": 2
 }`
 
-const totalPoints = 24 // 2 cores x 2 fault rates x 2 scales x 3 seeds
+const totalPoints = 48 // 2 workloads x 2 cores x 2 fault rates x 2 scales x 3 seeds
 
 // killAfterRecords is how many durable records the interrupted run must
 // have before the SIGKILL: enough to make "skipped on resume" a real
@@ -112,6 +119,19 @@ func (s *smoke) uninterrupted() {
 			total, skipped, executed, unfinished, totalPoints, totalPoints)
 	}
 	s.refReport, s.refBench = s.merge("reference merge", ckpt)
+	var bench struct {
+		Points map[string]struct {
+			PredictedSeconds float64 `json:"predicted_seconds"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(s.refBench, &bench); err != nil {
+		fatal("campaignsmoke: parsing the reference trend JSON: %v", err)
+	}
+	for name, p := range bench.Points {
+		if p.PredictedSeconds <= 0 {
+			fatal("campaignsmoke: point %s has no model prediction", name)
+		}
+	}
 	fmt.Printf("ok  uninterrupted: %d points executed, reference report %d bytes\n", executed, len(s.refReport))
 }
 

@@ -73,6 +73,10 @@ type RunOptions struct {
 	Progress *Progress
 	// Log receives one line per completed point when non-nil.
 	Log io.Writer
+
+	// calibrate replaces the model mode's calibration source
+	// (experiments.SharedTestbedCalibration) when non-nil.
+	calibrate calibrator
 }
 
 // Summary is the outcome of one Run invocation.
@@ -177,11 +181,32 @@ func Run(ctx context.Context, cfg Config, opts RunOptions) (Summary, error) {
 		timeout = time.Duration(cfg.PointTimeout)
 	}
 
+	// Model mode calibrates ahead of the point loop: while the workers
+	// simulate, one goroutine calibrates each workload still to run, so
+	// a workload's first point finds its calibration done or joins the
+	// one in flight instead of paying the four sample runs itself.
+	calibrate := opts.calibrate
+	if calibrate == nil {
+		calibrate = experiments.SharedTestbedCalibration
+	}
+	if cfg.Mode == ModeModel {
+		wctx, stop := context.WithCancel(ctx)
+		warmed := make(chan struct{})
+		go func() {
+			defer close(warmed)
+			warmCalibrations(wctx, todo, calibrate)
+		}()
+		defer func() {
+			stop()
+			<-warmed
+		}()
+	}
+
 	runners := make(runnerPool, parallel)
 	eval := func(pctx context.Context, p Point) (PointResult, error) {
 		opts.Progress.pointStarted()
 		defer opts.Progress.pointFinished()
-		return runners.evaluate(pctx, cfg, p)
+		return runners.evaluate(pctx, cfg, p, calibrate)
 	}
 	sink := func(_ int, o sweep.Outcome[Point, PointResult]) error {
 		if o.Err != nil && isEnvironmental(o.Err) {
@@ -241,6 +266,28 @@ func isEnvironmental(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// calibrator returns a workload's shared testbed calibration, as
+// experiments.SharedTestbedCalibration does.
+type calibrator func(ctx context.Context, workload string) (*core.Calibration, error)
+
+// warmCalibrations calibrates each distinct workload of points, in order
+// of first appearance, one after another, until ctx is done. It drops
+// errors: a failed calibration is not cached, so the point that needs
+// it joins it or calibrates again, and reports the failure itself.
+func warmCalibrations(ctx context.Context, points []Point, calibrate calibrator) {
+	seen := map[string]bool{}
+	for _, p := range points {
+		if seen[p.Workload] {
+			continue
+		}
+		seen[p.Workload] = true
+		if ctx.Err() != nil {
+			return
+		}
+		_, _ = calibrate(ctx, p.Workload)
+	}
+}
+
 // runnerPool keeps one simulator per campaign worker for the duration
 // of a Run: consecutive points share a cluster shape, so a Runner
 // reuses the previous point's storage. Its capacity is the worker
@@ -248,18 +295,19 @@ func isEnvironmental(err error) bool {
 // a full pool drops it.
 type runnerPool chan *spark.Runner
 
-// evaluate runs EvaluatePoint on a pooled Runner. It takes the Runner
+// evaluate runs EvaluatePoint on a pooled Runner, calibrating through
+// calibrate. It takes the Runner
 // and gives it back without blocking, so a point that outlives its
 // timeout keeps running with its Runner, and no other point gets that
 // Runner until the point returns.
-func (rp runnerPool) evaluate(ctx context.Context, cfg Config, p Point) (PointResult, error) {
+func (rp runnerPool) evaluate(ctx context.Context, cfg Config, p Point, calibrate calibrator) (PointResult, error) {
 	var rn *spark.Runner
 	select {
 	case rn = <-rp:
 	default:
 		rn = new(spark.Runner)
 	}
-	res, err := evaluatePoint(ctx, cfg, p, rn)
+	res, err := evaluatePoint(ctx, cfg, p, rn, calibrate)
 	select {
 	case rp <- rn:
 	default:
@@ -272,12 +320,12 @@ func (rp runnerPool) evaluate(ctx context.Context, cfg Config, p Point) (PointRe
 // ModeModel) predict with the workload's calibrated model. The result
 // is a deterministic function of (cfg, p).
 func EvaluatePoint(ctx context.Context, cfg Config, p Point) (PointResult, error) {
-	return evaluatePoint(ctx, cfg, p, new(spark.Runner))
+	return evaluatePoint(ctx, cfg, p, new(spark.Runner), experiments.SharedTestbedCalibration)
 }
 
 // evaluatePoint is EvaluatePoint simulating on rn, which the caller
-// owns for the duration of the call.
-func evaluatePoint(ctx context.Context, cfg Config, p Point, rn *spark.Runner) (PointResult, error) {
+// owns for the duration of the call, and calibrating through calibrate.
+func evaluatePoint(ctx context.Context, cfg Config, p Point, rn *spark.Runner, calibrate calibrator) (PointResult, error) {
 	w, err := workloads.Get(p.Workload)
 	if err != nil {
 		return PointResult{}, err
@@ -318,7 +366,7 @@ func evaluatePoint(ctx context.Context, cfg Config, p Point, rn *spark.Runner) (
 		GCStallSeconds: res.Mem.GCStall.Seconds(),
 	}
 	if cfg.Mode == ModeModel {
-		cal, err := experiments.SharedTestbedCalibration(ctx, p.Workload)
+		cal, err := calibrate(ctx, p.Workload)
 		if err != nil {
 			return PointResult{}, err
 		}

@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // BenchmarkCampaignStudy evaluates the 64 points of perfbench's
@@ -27,7 +29,7 @@ func BenchmarkCampaignStudy(b *testing.B) {
 	pass := func() {
 		runners := make(runnerPool, 1)
 		for _, p := range points {
-			if _, err := runners.evaluate(context.Background(), cfg, p); err != nil {
+			if _, err := runners.evaluate(context.Background(), cfg, p, experiments.SharedTestbedCalibration); err != nil {
 				b.Fatalf("%s: %v", p.Name(), err)
 			}
 		}

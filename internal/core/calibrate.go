@@ -68,9 +68,7 @@ func Calibrate(base spark.ClusterConfig, ssd, hdd disk.Device, build func(spark.
 		return nil, fmt.Errorf("core: sample runs disagree on stage structure")
 	}
 
-	pl1 := PlatformFor(cfg1)
-	pl3 := PlatformFor(cfg3)
-	pl4 := PlatformFor(cfg4)
+	pl1, pl3, pl4 := samplePlatforms(cfg1, cfg3, cfg4)
 
 	model := AppModel{Name: cal.Run1.App}
 	for si, s1 := range cal.Run1.Stages {
@@ -115,6 +113,20 @@ func Calibrate(base spark.ClusterConfig, ssd, hdd disk.Device, build func(spark.
 	}
 	cal.Model = model
 	return cal, nil
+}
+
+// samplePlatforms returns PlatformFor of sample runs 1, 3 and 4. The
+// runs place one SSD and one HDD in different slots (run 1 the SSD in
+// both, run 3 the HDD as Local, run 4 the HDD as HDFS), so each device's
+// read and write curves are profiled once and shared: a *disk.Curve is
+// immutable.
+func samplePlatforms(cfg1, cfg3, cfg4 spark.ClusterConfig) (pl1, pl3, pl4 Platform) {
+	ssdRead, ssdWrite := disk.ProfileRead(cfg1.HDFSDisk, nil), disk.ProfileWrite(cfg1.HDFSDisk, nil)
+	hddRead, hddWrite := disk.ProfileRead(cfg3.LocalDisk, nil), disk.ProfileWrite(cfg3.LocalDisk, nil)
+	pl1 = platformWith(cfg1, Curves{HDFSRead: ssdRead, HDFSWrite: ssdWrite, LocalRead: ssdRead, LocalWrite: ssdWrite})
+	pl3 = platformWith(cfg3, Curves{HDFSRead: ssdRead, HDFSWrite: ssdWrite, LocalRead: hddRead, LocalWrite: hddWrite})
+	pl4 = platformWith(cfg4, Curves{HDFSRead: hddRead, HDFSWrite: hddWrite, LocalRead: ssdRead, LocalWrite: ssdWrite})
+	return pl1, pl3, pl4
 }
 
 // fitStageShape reconstructs the stage's group/op structure and the

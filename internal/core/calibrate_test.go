@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/disk"
 	"repro/internal/spark"
 	"repro/internal/units"
@@ -23,6 +25,40 @@ func calibrateGATK4(t *testing.T) *Calibration {
 		t.Fatal(err)
 	}
 	return cal
+}
+
+// TestSamplePlatformsMatchPlatformFor pins Calibrate's shared curves:
+// each sample platform must equal PlatformFor of its run's
+// configuration, on the testbed devices and on cloud disks, with the
+// memory layer off and on.
+func TestSamplePlatformsMatchPlatformFor(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		ssd, hdd disk.Device
+		slaves   int
+		heapGB   float64
+	}{
+		{"testbed", disk.NewSSD(), disk.NewHDD(), 10, 0},
+		{"cloud", cloud.NewDisk(cloud.PDSSD, 500*units.GB), cloud.NewDisk(cloud.PDStandard, 200*units.GB), 3, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := spark.DefaultTestbed(c.slaves, 1, c.ssd, c.ssd)
+			base.Memory = spark.MemoryConfig{HeapGB: c.heapGB}
+			cfg1 := base.WithDisks(c.ssd, c.ssd).WithCores(1)
+			cfg3 := base.WithDisks(c.ssd, c.hdd).WithCores(16)
+			cfg4 := base.WithDisks(c.hdd, c.ssd).WithCores(16)
+			pl1, pl3, pl4 := samplePlatforms(cfg1, cfg3, cfg4)
+			for _, pc := range []struct {
+				run int
+				got Platform
+				cfg spark.ClusterConfig
+			}{{1, pl1, cfg1}, {3, pl3, cfg3}, {4, pl4, cfg4}} {
+				if want := PlatformFor(pc.cfg); !reflect.DeepEqual(pc.got, want) {
+					t.Errorf("run %d platform: %+v, PlatformFor: %+v", pc.run, pc.got, want)
+				}
+			}
+		})
+	}
 }
 
 func TestCalibrateReconstructsStructure(t *testing.T) {

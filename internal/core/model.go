@@ -103,10 +103,16 @@ func (p Platform) Validate() error {
 // PlatformFor builds a Platform matching a simulator cluster config,
 // profiling its devices.
 func PlatformFor(cfg spark.ClusterConfig) Platform {
+	return platformWith(cfg, CurvesFor(cfg.HDFSDisk, cfg.LocalDisk))
+}
+
+// platformWith is PlatformFor with the curves of cfg's disks already
+// profiled.
+func platformWith(cfg spark.ClusterConfig, c Curves) Platform {
 	return Platform{
 		N:           cfg.Slaves,
 		P:           cfg.ExecutorCores,
-		Curves:      CurvesFor(cfg.HDFSDisk, cfg.LocalDisk),
+		Curves:      c,
 		Replication: cfg.HDFSReplication,
 		BlockSize:   cfg.HDFSBlockSize,
 		Memory:      MemParamsFor(cfg),
