@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/calib"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/optimizer"
-	"repro/internal/spark"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
@@ -29,10 +29,7 @@ func main() {
 	// P=1 and P=2 on 500 GB pd-ssd, then P=16 with a 200 GB pd-standard
 	// probing the Spark Local and HDFS slots in turn.
 	fmt.Println("calibrating (4 sample runs on 3 slaves)...")
-	ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-	hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-	base := spark.DefaultTestbed(3, 1, ssd, ssd)
-	cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+	cal, _, err := calib.For(calib.Shared, calib.Cloud(w.Name))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,8 +26,8 @@ import (
 )
 
 // Study modes: "sim" runs every point through the simulator; "model"
-// additionally calibrates the analytical model once per workload (via
-// the experiments package's singleflight calibration cache) and records
+// additionally calibrates the analytical model once per workload
+// (through calib.For on the process-wide calib.Shared cache) and records
 // the prediction and its error next to each simulated point.
 const (
 	ModeSim   = "sim"

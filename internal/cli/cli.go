@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/calib"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -416,10 +417,8 @@ func (a *app) cmdPredict(args []string) error {
 		fmt.Fprintf(a.out, "# loaded calibrated model from %s\n", *load)
 	} else {
 		// Calibrate on the same slave count per the paper's Section VI-1.
-		ssd, hdd := disk.NewSSD(), disk.NewHDD()
-		base := spark.DefaultTestbed(cfg.Slaves, 1, ssd, ssd)
 		fmt.Fprintf(a.out, "# calibrating (4 sample runs, %d slaves)...\n", cfg.Slaves)
-		cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+		cal, _, err := calib.For(calib.Shared, calib.Testbed(w.Name, cfg.Slaves))
 		if err != nil {
 			return err
 		}
@@ -483,11 +482,8 @@ func (a *app) cmdOptimize(args []string) error {
 		return err
 	}
 
-	ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-	hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-	base := spark.DefaultTestbed(3, 1, ssd, ssd)
 	fmt.Fprintln(a.out, "# calibrating on virtual disks (4 sample runs, 3 slaves)...")
-	cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+	cal, _, err := calib.For(calib.Shared, calib.Cloud(w.Name))
 	if err != nil {
 		return err
 	}
@@ -571,11 +567,8 @@ func (a *app) cmdRecommend(args []string) error {
 		return err
 	}
 
-	ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-	hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-	base := spark.DefaultTestbed(3, 1, ssd, ssd)
 	fmt.Fprintln(a.out, "# calibrating on virtual disks (4 sample runs, 3 slaves)...")
-	cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+	cal, _, err := calib.For(calib.Shared, calib.Cloud(w.Name))
 	if err != nil {
 		return err
 	}
@@ -756,10 +749,8 @@ func (a *app) cmdWhatif(args []string) error {
 	if err != nil {
 		return err
 	}
-	ssd, hddProbe := disk.NewSSD(), disk.NewHDD()
-	base := spark.DefaultTestbed(cfg.Slaves, 1, ssd, ssd)
 	fmt.Fprintln(a.out, "# calibrating (4 sample runs)...")
-	cal, err := core.Calibrate(base, ssd, hddProbe, w.Build)
+	cal, _, err := calib.For(calib.Shared, calib.Testbed(w.Name, cfg.Slaves))
 	if err != nil {
 		return err
 	}

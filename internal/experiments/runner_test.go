@@ -7,10 +7,10 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/calib"
 	"repro/internal/core"
 )
 
@@ -243,73 +243,60 @@ func TestRegistryParallelStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRegistryParallelCalibrationSingleflight checks the calibration
-// cache's singleflight semantics directly: concurrent requests for the
-// same key share one build, different keys build concurrently, and
-// failed builds are retried rather than cached.
-func TestRegistryParallelCalibrationSingleflight(t *testing.T) {
-	keys := []string{"test/singleflight-a", "test/singleflight-b", "test/singleflight-c"}
-	defer func() {
-		calMu.Lock()
-		for _, k := range keys {
-			delete(calCache, k)
-		}
-		calMu.Unlock()
-	}()
+// freshCalCache points the artifacts at an empty calibration cache for
+// the rest of the test.
+func freshCalCache(t *testing.T) *calib.Cache {
+	old := calCache
+	calCache = calib.NewCache(16)
+	t.Cleanup(func() { calCache = old })
+	return calCache
+}
 
-	var builds atomic.Int64
-	build := func() (*core.Calibration, error) {
-		builds.Add(1)
-		time.Sleep(time.Millisecond)
-		return &core.Calibration{}, nil
-	}
+// TestRegistryParallelCalibrationSingleflight checks the artifacts'
+// calibration path end to end under concurrency: concurrent lookups of
+// one recipe share one calibration, different recipes calibrate side by
+// side, and a failed calibration is retried rather than cached. The sql
+// recipes are the registry's cheapest (four ~10 ms sample runs).
+func TestRegistryParallelCalibrationSingleflight(t *testing.T) {
+	cache := freshCalCache(t)
+	recipes := []calib.Recipe{calib.Testbed("sql", 1), calib.Testbed("sql", 2), calib.Cloud("sql")}
 	var wg sync.WaitGroup
-	got := make([]*core.Calibration, 32*len(keys))
+	got := make([]*core.Calibration, 32*len(recipes))
 	for i := 0; i < 32; i++ {
-		for j, k := range keys {
+		for j, r := range recipes {
 			wg.Add(1)
-			go func(slot int, key string) {
+			go func(slot int, r calib.Recipe) {
 				defer wg.Done()
-				c, err := calibrated(context.Background(), key, build)
+				c, err := calibrated(context.Background(), r)
 				if err != nil {
 					t.Error(err)
 				}
 				got[slot] = c
-			}(i*len(keys)+j, k)
+			}(i*len(recipes)+j, r)
 		}
 	}
 	wg.Wait()
-	if n := builds.Load(); n != int64(len(keys)) {
-		t.Errorf("builds = %d, want one per key (%d)", n, len(keys))
+	if st := cache.Stats(); st.Misses != uint64(len(recipes)) || st.Hits != uint64(31*len(recipes)) {
+		t.Errorf("cache stats %+v, want one calibration per recipe (%d)", st, len(recipes))
 	}
 	for i := 1; i < 32; i++ {
-		for j := range keys {
-			if got[i*len(keys)+j] != got[j] {
-				t.Errorf("key %s: callers saw different calibrations", keys[j])
+		for j := range recipes {
+			if got[i*len(recipes)+j] != got[j] {
+				t.Errorf("%s: callers saw different calibrations", recipes[j].Key())
 			}
 		}
 	}
 
-	// Failure path: the entry must be dropped so the next call retries.
-	failKey := "test/singleflight-fail"
-	calls := 0
-	failing := func() (*core.Calibration, error) {
-		calls++
-		if calls == 1 {
-			return nil, fmt.Errorf("transient")
+	// Failure path: nothing is cached, so the next call calibrates again.
+	missing := calib.Testbed("no-such-workload", 3)
+	for i := 0; i < 2; i++ {
+		if _, err := calibrated(context.Background(), missing); err == nil {
+			t.Fatal("calibrating an unknown workload succeeded")
 		}
-		return &core.Calibration{}, nil
 	}
-	if _, err := calibrated(context.Background(), failKey, failing); err == nil {
-		t.Fatal("expected first build to fail")
+	if st := cache.Stats(); st.Misses != uint64(len(recipes))+2 {
+		t.Errorf("misses = %d after two failed calibrations, want %d (failures must not cache)", st.Misses, len(recipes)+2)
 	}
-	c, err := calibrated(context.Background(), failKey, failing)
-	if err != nil || c == nil {
-		t.Fatalf("retry after failure: c=%v err=%v", c, err)
-	}
-	calMu.Lock()
-	delete(calCache, failKey)
-	calMu.Unlock()
 }
 
 // TestRegistryParallelSpeedup asserts the pool actually buys wall-clock
@@ -345,18 +332,11 @@ func TestRegistryParallelSpeedup(t *testing.T) {
 // and two hits, and an artifact that never calibrates carries no cache
 // metrics at all.
 func TestRunReportsCalibrationCacheStats(t *testing.T) {
-	key := "test/cache-stats"
-	defer func() {
-		calMu.Lock()
-		delete(calCache, key)
-		calMu.Unlock()
-	}()
+	freshCalCache(t)
 	calibrating := Experiment{ID: "cache-stats", Title: "calibrating artifact",
 		Run: func(ctx context.Context) (*Table, error) {
 			for i := 0; i < 3; i++ {
-				if _, err := calibrated(ctx, key, func() (*core.Calibration, error) {
-					return &core.Calibration{}, nil
-				}); err != nil {
+				if _, err := calibrated(ctx, calib.Testbed("sql", 3)); err != nil {
 					return nil, err
 				}
 			}

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/calib"
 )
 
 // The serve benchmarks gate the request hot path in CI (see
@@ -12,21 +14,21 @@ import (
 // stay a hash lookup plus a header write, never a simulator run.
 
 func BenchmarkCacheDoHit(b *testing.B) {
-	c := newLRU(64)
-	if _, _, err := c.do("k", func() (any, error) { return []byte("v"), nil }); err != nil {
+	c := calib.NewCache(64)
+	if _, _, err := c.Do("k", func() (any, error) { return []byte("v"), nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, hit, _ := c.do("k", nil); !hit {
+		if _, hit, _ := c.Do("k", nil); !hit {
 			b.Fatal("expected hit")
 		}
 	}
 }
 
 func BenchmarkCachePutEvict(b *testing.B) {
-	c := newLRU(64)
+	c := calib.NewCache(64)
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
@@ -38,7 +40,7 @@ func BenchmarkCachePutEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.put(keys[i%len(keys)], val)
+		c.Put(keys[i%len(keys)], val)
 	}
 }
 

@@ -1,67 +1,20 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
+
+	"repro/internal/calib"
 )
 
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", 1)
-	c.put("b", 2)
-	c.put("c", 3) // evicts a
-	if _, ok := c.get("a"); ok {
-		t.Error("a should have been evicted")
-	}
-	if v, ok := c.get("b"); !ok || v.(int) != 2 {
-		t.Errorf("b = %v, %v", v, ok)
-	}
-	// b is now most recent; inserting d evicts c.
-	c.put("d", 4)
-	if _, ok := c.get("c"); ok {
-		t.Error("c should have been evicted after b was touched")
-	}
-	stats := c.Stats()
-	if stats.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", stats.Evictions)
-	}
-	if stats.Entries != 2 {
-		t.Errorf("entries = %d, want 2", stats.Entries)
-	}
-}
-
-func TestLRUUpdateExisting(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", 1)
-	c.put("a", 2)
-	if v, _ := c.get("a"); v.(int) != 2 {
-		t.Errorf("a = %v, want refreshed value 2", v)
-	}
-	if got := c.Stats().Entries; got != 1 {
-		t.Errorf("entries = %d, want 1", got)
-	}
-}
-
-func TestLRUMinimumCapacity(t *testing.T) {
-	c := newLRU(0)
-	c.put("a", 1)
-	if _, ok := c.get("a"); !ok {
-		t.Error("capacity should clamp to 1, not 0")
-	}
-}
-
 func TestDoCachesSuccess(t *testing.T) {
-	c := newLRU(4)
+	c := calib.NewCache(4)
 	calls := 0
 	build := func() (any, error) { calls++; return "v", nil }
-	v, cached, err := c.do("k", build)
+	v, cached, err := c.Do("k", build)
 	if err != nil || v.(string) != "v" || cached {
 		t.Fatalf("first do = %v, %v, %v", v, cached, err)
 	}
-	v, cached, err = c.do("k", build)
+	v, cached, err = c.Do("k", build)
 	if err != nil || v.(string) != "v" || !cached {
 		t.Fatalf("second do = %v, %v, %v", v, cached, err)
 	}
@@ -71,95 +24,6 @@ func TestDoCachesSuccess(t *testing.T) {
 	stats := c.Stats()
 	if stats.Hits != 1 || stats.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", stats)
-	}
-}
-
-func TestDoErrorNotCached(t *testing.T) {
-	c := newLRU(4)
-	calls := 0
-	failing := func() (any, error) { calls++; return nil, errors.New("boom") }
-	if _, _, err := c.do("k", failing); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, _, err := c.do("k", failing); err == nil {
-		t.Fatal("expected error on retry")
-	}
-	if calls != 2 {
-		t.Errorf("failing build ran %d times, want 2 (errors must not cache)", calls)
-	}
-	// A later success does cache.
-	if _, _, err := c.do("k", func() (any, error) { return 42, nil }); err != nil {
-		t.Fatal(err)
-	}
-	v, cached, err := c.do("k", failing)
-	if err != nil || !cached || v.(int) != 42 {
-		t.Errorf("after success: %v, %v, %v", v, cached, err)
-	}
-}
-
-// TestDoSingleflight has many goroutines demand the same absent key; the
-// build must run exactly once and everyone must observe its value.
-func TestDoSingleflight(t *testing.T) {
-	c := newLRU(4)
-	var calls atomic.Int64
-	release := make(chan struct{})
-	build := func() (any, error) {
-		calls.Add(1)
-		<-release
-		return "shared", nil
-	}
-	const n = 16
-	var wg sync.WaitGroup
-	results := make([]any, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, err := c.do("k", build)
-			if err != nil {
-				t.Errorf("do: %v", err)
-			}
-			results[i] = v
-		}(i)
-	}
-	// Let the herd pile up behind the single in-flight build, then open it.
-	for calls.Load() == 0 {
-	}
-	close(release)
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Errorf("build ran %d times under contention, want 1", got)
-	}
-	for i, v := range results {
-		if v.(string) != "shared" {
-			t.Errorf("goroutine %d saw %v", i, v)
-		}
-	}
-	stats := c.Stats()
-	if stats.Misses != 1 || stats.Hits != n-1 {
-		t.Errorf("stats = %+v, want 1 miss / %d hits", stats, n-1)
-	}
-}
-
-func TestDoConcurrentDistinctKeys(t *testing.T) {
-	c := newLRU(128)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				key := fmt.Sprintf("k%d", j)
-				v, _, err := c.do(key, func() (any, error) { return j, nil })
-				if err != nil || v.(int) != j {
-					t.Errorf("do(%s) = %v, %v", key, v, err)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := c.Stats().Entries; got != 50 {
-		t.Errorf("entries = %d, want 50", got)
 	}
 }
 

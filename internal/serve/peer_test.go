@@ -51,8 +51,8 @@ func TestPeekServesOnlyCachedResults(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("peek of absent key: status %d, want 404", rec.Code)
 	}
-	s.cache.put(key, []byte(`{"answer":42}`+"\n"))
-	s.cache.put("calibration\x00testbed\x00wc\x003", []byte("not served either way"))
+	s.cache.Put(key, []byte(`{"answer":42}`+"\n"))
+	s.cache.Put("calibration\x00testbed\x00wc\x003", []byte("not served either way"))
 	before := s.CacheStats()
 	rec = post(t, s.Handler(), peekRoute, key)
 	if rec.Code != http.StatusOK {
