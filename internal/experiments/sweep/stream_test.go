@@ -52,9 +52,9 @@ func TestStreamMapCancelStopsFeeding(t *testing.T) {
 	if ran >= len(points) {
 		t.Fatalf("cancel did not stop the feed: all %d points ran", ran)
 	}
-	// After cancel every point is either completed (nil Err) or reported
-	// with the cancellation — unstarted points, and in-flight points the
-	// cancelled evaluation abandoned. Both are retried on resume.
+	// After cancel every point is either completed (nil Err) or, if the
+	// feed never started it, reported with the cancellation and retried
+	// on resume. Without a PointTimeout no started point is abandoned.
 	var completed int
 	for _, o := range out {
 		if o.Err == nil {
@@ -65,11 +65,43 @@ func TestStreamMapCancelStopsFeeding(t *testing.T) {
 			t.Fatalf("cancelled point error = %v, want context.Canceled", o.Err)
 		}
 	}
-	if completed > ran {
-		t.Fatalf("%d points completed but only %d ran", completed, ran)
+	if completed != ran {
+		t.Fatalf("%d points completed but %d ran", completed, ran)
 	}
 	if completed == len(points) {
 		t.Fatal("cancel abandoned nothing")
+	}
+}
+
+// TestStreamMapCancelLetsInFlightFinish cancels the run from inside a
+// point that keeps working afterwards: with no PointTimeout, StreamMap
+// must wait for the point and deliver its result, not report it
+// cancelled and return while it still runs.
+func TestStreamMapCancelLetsInFlightFinish(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var finished atomic.Bool
+	out, err := StreamMap(ctx, []int{7, 8, 9}, StreamOptions{Parallel: 1},
+		func(ctx context.Context, p int) (int, error) {
+			cancel()
+			<-ctx.Done()
+			time.Sleep(20 * time.Millisecond)
+			finished.Store(true)
+			return p * 2, nil
+		}, nil)
+	if err != nil {
+		t.Fatalf("StreamMap: %v", err)
+	}
+	if !finished.Load() {
+		t.Fatal("StreamMap returned while the cancelled point was still running")
+	}
+	if out[0].Err != nil || out[0].Value != 14 {
+		t.Fatalf("in-flight point = {value %d, err %v}, want {14, nil}", out[0].Value, out[0].Err)
+	}
+	for _, o := range out[1:] {
+		if !errors.Is(o.Err, context.Canceled) {
+			t.Fatalf("point %d err = %v, want context.Canceled (never started)", o.Point, o.Err)
+		}
 	}
 }
 
