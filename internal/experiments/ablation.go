@@ -19,7 +19,7 @@ func init() {
 // matter: the request-size-aware bandwidth lookup (vs Ernest-style peak
 // bandwidth) and the CPU/I/O overlap max() composition (vs additive).
 func ablationModel(ctx context.Context) (*Table, error) {
-	cal, err := calibratedTestbed(ctx, "gatk4")
+	cal, err := SharedTestbedCalibration(ctx, "gatk4")
 	if err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func init() {
 // runAppFigure produces the exp-vs-model comparison for one workload on
 // the ten-slave cluster under the HDD and SSD configurations.
 func runAppFigure(ctx context.Context, f appFigure) (*Table, error) {
-	cal, err := calibratedTestbed(ctx, f.workload)
+	cal, err := SharedTestbedCalibration(ctx, f.workload)
 	if err != nil {
 		return nil, err
 	}

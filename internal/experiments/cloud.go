@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/calib"
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/experiments/sweep"
@@ -34,7 +35,7 @@ func tableV(context.Context) (*Table, error) {
 
 // cloudEval builds the model evaluator from the cloud calibration.
 func cloudEval(ctx context.Context) (*optimizer.CompiledEvaluator, error) {
-	cal, err := calibratedCloud(ctx, "gatk4")
+	cal, err := calibrated(ctx, calib.Cloud("gatk4"))
 	if err != nil {
 		return nil, err
 	}

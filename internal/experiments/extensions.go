@@ -70,7 +70,7 @@ func errorBars(context.Context) (*Table, error) {
 // checks the model tracks it without recalibration tricks (a fresh
 // calibration on the extended app).
 func gatk4Full(ctx context.Context) (*Table, error) {
-	cal, err := calibratedTestbed(ctx, "gatk4-full")
+	cal, err := SharedTestbedCalibration(ctx, "gatk4-full")
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func gatk4Full(ctx context.Context) (*Table, error) {
 // to disk bandwidth rather than disk number", so a striped array enters
 // through its bandwidth curve and nothing else.
 func multiDisk(ctx context.Context) (*Table, error) {
-	cal, err := calibratedTestbed(ctx, "gatk4")
+	cal, err := SharedTestbedCalibration(ctx, "gatk4")
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func scheduler(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cal, err := calibratedTestbed(ctx, s.workload)
+		cal, err := SharedTestbedCalibration(ctx, s.workload)
 		if err != nil {
 			return nil, err
 		}

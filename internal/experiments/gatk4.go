@@ -107,7 +107,7 @@ func fig3(context.Context) (*Table, error) {
 // fig7 compares the simulator against the four-sample-run calibrated
 // model on ten slaves, P ∈ {6,12,24}, all four disk configurations.
 func fig7(ctx context.Context) (*Table, error) {
-	cal, err := calibratedTestbed(ctx, "gatk4")
+	cal, err := SharedTestbedCalibration(ctx, "gatk4")
 	if err != nil {
 		return nil, err
 	}
