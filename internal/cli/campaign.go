@@ -70,7 +70,7 @@ func (a *app) cmdCampaignPlan(args []string) error {
 	fs := flag.NewFlagSet("campaign plan", flag.ContinueOnError)
 	configPath := fs.String("config", "", "study config file (JSON; see docs/CAMPAIGN.md)")
 	shards, shard := campaignShardFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if _, err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *configPath == "" {
@@ -104,7 +104,7 @@ func (a *app) cmdCampaignRun(ctx context.Context, args []string) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	shards, shard := campaignShardFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if _, err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	if *configPath == "" {
@@ -172,20 +172,21 @@ func (a *app) cmdCampaignMerge(args []string) error {
 	reportPath := fs.String("report", "", `write the merged report here ("-" or empty = stdout)`)
 	format := fs.String("format", "text", "report format: text, csv, md")
 	benchPath := fs.String("bench", "", "write the BENCH-style trend JSON to this file")
-	if err := fs.Parse(args); err != nil {
+	ckpts, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
 	if *configPath == "" {
 		return fmt.Errorf("campaign merge: -config is required")
 	}
-	if fs.NArg() == 0 {
+	if len(ckpts) == 0 {
 		return fmt.Errorf("campaign merge: need at least one checkpoint file")
 	}
 	cfg, err := campaign.LoadConfig(*configPath)
 	if err != nil {
 		return err
 	}
-	merged, err := campaign.Merge(cfg, fs.Args())
+	merged, err := campaign.Merge(cfg, ckpts)
 	if err != nil {
 		return err
 	}

@@ -194,10 +194,11 @@ func (a *app) cmdRun(ctx context.Context, args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-artifact deadline (0 = none); timed-out artifacts fail, siblings continue")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the artifact run to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-	if err := fs.Parse(args); err != nil {
+	ids, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() == 0 {
+	if len(ids) == 0 {
 		return fmt.Errorf("run: need an experiment id or 'all'")
 	}
 	if err := firstError(
@@ -211,7 +212,6 @@ func (a *app) cmdRun(ctx context.Context, args []string) error {
 		return fmt.Errorf("run: %v", err)
 	}
 	defer stopProf()
-	ids := fs.Args()
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
 	}
@@ -287,6 +287,25 @@ type clusterFlags struct {
 	faultSeed  *uint64
 }
 
+// parseArgs parses args with fs and returns the positional arguments.
+// Unlike fs.Parse it keeps parsing flags after a positional argument, so
+// "doppio sim gatk4 -iostat" means what it says; everything after "--"
+// is positional.
+func parseArgs(fs *flag.FlagSet, args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		rest := fs.Args()
+		if n := len(args) - len(rest); len(rest) == 0 || n > 0 && args[n-1] == "--" {
+			return append(pos, rest...), nil
+		}
+		pos = append(pos, rest[0])
+		args = rest[1:]
+	}
+}
+
 func addClusterFlags(fs *flag.FlagSet) clusterFlags {
 	return clusterFlags{
 		slaves:     fs.Int("slaves", 10, "worker node count N"),
@@ -348,13 +367,14 @@ func (a *app) cmdSim(args []string) error {
 	cf := addClusterFlags(fs)
 	iostat := fs.Bool("iostat", false, "print the per-stage iostat report")
 	blocked := fs.Bool("blocked", false, "print the blocked-time analysis")
-	if err := fs.Parse(args); err != nil {
+	pos, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
+	if len(pos) != 1 {
 		return fmt.Errorf("sim: need exactly one workload (see 'doppio workloads')")
 	}
-	w, err := workloads.Get(fs.Arg(0))
+	w, err := workloads.Get(pos[0])
 	if err != nil {
 		return err
 	}
@@ -389,13 +409,14 @@ func (a *app) cmdPredict(args []string) error {
 	cf := addClusterFlags(fs)
 	save := fs.String("save", "", "write the calibrated model to this JSON file")
 	load := fs.String("load", "", "load a previously saved model instead of calibrating")
-	if err := fs.Parse(args); err != nil {
+	pos, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
+	if len(pos) != 1 {
 		return fmt.Errorf("predict: need exactly one workload")
 	}
-	w, err := workloads.Get(fs.Arg(0))
+	w, err := workloads.Get(pos[0])
 	if err != nil {
 		return err
 	}
@@ -470,7 +491,7 @@ func (a *app) cmdOptimize(args []string) error {
 	top := fs.Int("top", 10, "show the N cheapest configurations")
 	descend := fs.Bool("descend", false, "use coordinate descent instead of the full grid")
 	heapGBs := fs.String("heap-gbs", "", "comma-separated executor heap sizes in GB to add as a search axis (empty = memory-free space)")
-	if err := fs.Parse(args); err != nil {
+	if _, err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	heaps, err := parseHeapGBs(*heapGBs)
@@ -549,7 +570,7 @@ func (a *app) cmdRecommend(args []string) error {
 	budget := fs.Float64("budget", 0, "highest admissible cost in dollars (0 = none)")
 	noPrune := fs.Bool("no-prune", false, "evaluate the full grid and filter (reference path)")
 	heapGBs := fs.String("heap-gbs", "", "comma-separated executor heap sizes in GB to add as a search axis (empty = memory-free space)")
-	if err := fs.Parse(args); err != nil {
+	if _, err := parseArgs(fs, args); err != nil {
 		return err
 	}
 	heaps, err := parseHeapGBs(*heapGBs)
@@ -671,11 +692,12 @@ func (a *app) cmdServe(ctx context.Context, args []string) error {
 	var peers replicaList
 	fs.Var(&peers, "peers", "comma-separated replica host:port peers (including this one) for cross-replica read-through; requires -replica-id (repeatable)")
 	peerTimeout := fs.Duration("peer-timeout", 150*time.Millisecond, "per-peek deadline for cross-replica read-through")
-	if err := fs.Parse(args); err != nil {
+	pos, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("serve: unexpected argument %q", fs.Arg(0))
+	if len(pos) != 0 {
+		return fmt.Errorf("serve: unexpected argument %q", pos[0])
 	}
 	if err := firstError(
 		checkListenAddr("addr", *addr),
@@ -735,13 +757,14 @@ func (a *app) cmdWhatif(args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
 	cf := addClusterFlags(fs)
 	maxP := fs.Int("maxcores", 64, "largest per-node core count to sweep")
-	if err := fs.Parse(args); err != nil {
+	pos, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
+	if len(pos) != 1 {
 		return fmt.Errorf("whatif: need exactly one workload")
 	}
-	w, err := workloads.Get(fs.Arg(0))
+	w, err := workloads.Get(pos[0])
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,6 +169,49 @@ func TestSim(t *testing.T) {
 	_, _, code = run(t, "sim", "-local", "floppy", "svm")
 	if code != 1 {
 		t.Errorf("bad device exit = %d", code)
+	}
+	// Flags after the workload are flags, and mean what they mean
+	// before it; after "--" everything is a positional argument.
+	first, _, _ := run(t, "sim", "-slaves", "3", "-cores", "8", "-iostat", "-blocked", "svm")
+	mixed, errOut, code := run(t, "sim", "-slaves", "3", "-cores", "8", "svm", "-iostat", "-blocked")
+	if code != 0 || mixed != first {
+		t.Errorf("flags after the workload: exit = %d (%s), output equal to flags-first: %v", code, errOut, mixed == first)
+	}
+	_, _, code = run(t, "sim", "svm", "--", "-iostat")
+	if code != 1 {
+		t.Errorf("sim svm -- -iostat exit = %d, want 1 (two workloads)", code)
+	}
+}
+
+// TestParseArgs checks that flags parse after positional arguments and
+// that "--" ends flag parsing. The first three forms are how perfbench
+// invokes campaign run, merge and plan; they parse as flag.Parse
+// parses them.
+func TestParseArgs(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		pos    string
+		config string
+		n      int
+		q      bool
+	}{
+		{[]string{"-config", "S", "-checkpoint", "C", "-parallel", "1"}, "", "S", 1, false},
+		{[]string{"-config", "S", "-report", "R", "-bench", "T", "C"}, "C", "S", 0, false},
+		{[]string{"-config", "S"}, "", "S", 0, false},
+		{[]string{"a", "-parallel", "2", "b", "-q"}, "a b", "", 2, true},
+		{[]string{"-q", "--", "-parallel", "2"}, "-parallel 2", "", 0, true},
+		{[]string{"a", "--", "-q", "--"}, "a -q --", "", 0, false},
+		{[]string{"-", "-q"}, "-", "", 0, true},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		for _, name := range []string{"checkpoint", "report", "bench"} {
+			fs.String(name, "", "")
+		}
+		config, n, q := fs.String("config", "", ""), fs.Int("parallel", 0, ""), fs.Bool("q", false, "")
+		pos, err := parseArgs(fs, c.args)
+		if got := strings.Join(pos, " "); err != nil || got != c.pos || *config != c.config || *n != c.n || *q != c.q {
+			t.Errorf("%q: positionals %q, -config %q, -parallel %d, -q %v, err %v", c.args, got, *config, *n, *q, err)
+		}
 	}
 }
 
@@ -435,5 +479,36 @@ func TestCampaignRunWritesProfiles(t *testing.T) {
 		"-cpuprofile", filepath.Join(dir, "no-such-dir", "x"))
 	if code != 1 {
 		t.Errorf("bad cpuprofile path exit = %d", code)
+	}
+}
+
+// TestCampaignPerfbenchForms runs plan, run and merge with the argument
+// forms perfbench's campaign workload uses, so a parse change that
+// breaks them fails here rather than as a benchmark run failure.
+func TestCampaignPerfbenchForms(t *testing.T) {
+	dir := t.TempDir()
+	config := filepath.Join(dir, "study.json")
+	study := `{"name":"forms","base":{"workload":"sql"},"axes":{"nodes":[2],"seeds":[1]}}`
+	if err := os.WriteFile(config, []byte(study), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "points.jsonl")
+	report := filepath.Join(dir, "report.txt")
+	trend := filepath.Join(dir, "trend.json")
+	for _, args := range [][]string{
+		{"campaign", "plan", "-config", config},
+		{"campaign", "run", "-config", config, "-checkpoint", ckpt, "-parallel", "1"},
+		{"campaign", "merge", "-config", config, "-report", report, "-bench", trend, ckpt},
+	} {
+		out, errOut, code := run(t, args...)
+		if code != 0 {
+			t.Fatalf("%q: exit = %d: %s", args, code, errOut)
+		}
+		if args[1] == "merge" && !strings.Contains(out, "# merged 1 points from 1 checkpoint(s)") {
+			t.Errorf("merge output = %q", out)
+		}
+	}
+	if fi, err := os.Stat(trend); err != nil || fi.Size() == 0 {
+		t.Errorf("-bench %s missing or empty: %v", trend, err)
 	}
 }

@@ -58,11 +58,12 @@ func (a *app) cmdRoute(ctx context.Context, args []string) error {
 	hotCacheTTL := fs.Duration("hot-cache-ttl", 2*time.Second, "router-side replay window for hot replica cache hits (0 = off)")
 	hotCacheEntries := fs.Int("hot-cache-entries", 128, "hot-response cache capacity (with -hot-cache-ttl)")
 	accessLog := fs.String("access-log", "", `JSON access log destination: a file path, or "-" for stdout (empty = off)`)
-	if err := fs.Parse(args); err != nil {
+	pos, err := parseArgs(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("route: unexpected argument %q", fs.Arg(0))
+	if len(pos) != 0 {
+		return fmt.Errorf("route: unexpected argument %q", pos[0])
 	}
 	if len(reps) == 0 {
 		return fmt.Errorf("route: at least one -replica is required")

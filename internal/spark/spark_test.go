@@ -234,6 +234,43 @@ func TestShuffleReadReqSizeMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestShuffleRequestSizeMatchesMxRLayout performs an M×R shuffle: M
+// mappers each take a contiguous slice of the records and route every
+// record by key into one of R segments, then each reducer reads its
+// non-empty segment from every mapper. The mean segment read must be
+// what ShuffleReadReqSize charges a reducer, reducerBytes/M, and every
+// byte written must be read.
+func TestShuffleRequestSizeMatchesMxRLayout(t *testing.T) {
+	const mappers, reducers, records = 16, 4, 8000
+	var segments [mappers][reducers]units.ByteSize
+	var wrote units.ByteSize
+	for key := 0; key < records; key++ {
+		size := units.ByteSize(100 + key%7)
+		segments[key*mappers/records][key%reducers] += size
+		wrote += size
+	}
+	var reads int
+	var read units.ByteSize
+	for r := 0; r < reducers; r++ {
+		for m := 0; m < mappers; m++ {
+			if segments[m][r] > 0 {
+				reads++
+				read += segments[m][r]
+			}
+		}
+	}
+	if reads != mappers*reducers {
+		t.Fatalf("segment reads = %d, want M*R = %d", reads, mappers*reducers)
+	}
+	if wrote != read {
+		t.Errorf("shuffle conservation broken: wrote %v, read %v", wrote, read)
+	}
+	mean := float64(read) / float64(reads)
+	if want := float64(ShuffleReadReqSize(read/reducers, mappers)); mean < want*0.99 || mean > want*1.01 {
+		t.Errorf("mean segment read = %.0f B, ShuffleReadReqSize = %.0f B", mean, want)
+	}
+}
+
 func TestHDFSTasks(t *testing.T) {
 	if got := HDFSTasks(122*units.GB, 128*units.MB); got != 976 {
 		// 122*1024/128 = 976 exactly; the paper rounds its 122 GB figure.
